@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 tier1-faults tier1-obs tier1-iter tier1-alloc tier1-slo tier1-replica race vet lint lint-json bench-parallel
+.PHONY: tier1 tier1-faults tier1-obs tier1-iter tier1-alloc tier1-slo tier1-replica benchmark-test race vet lint lint-json bench-parallel
 
 # tier1 is the gate every change must keep green: full build + full test run
 # (go test ./... includes TestNoIgnoredDiagnostics, the in-process tulint
@@ -70,6 +70,12 @@ tier1-alloc:
 	$(GO) test -count=1 ./internal/chunkenc -run '^$$' -fuzz FuzzXORBatchIdentity -fuzztime 500x
 	$(GO) test -count=1 ./internal/chunkenc -run '^$$' -fuzz FuzzGroupSlotBatchIdentity -fuzztime 500x
 	TIMEUNION_ALLOC_GUARD=1 $(GO) test -count=1 -timeout 20m ./internal/bench -run TestAllocGuard
+
+# benchmark-test runs the tests of the benchmark program. benchmark/ is its
+# own module (it replaces timeunion with ../), so `go test ./...` from the
+# root never reaches its manifest and statistics tests.
+benchmark-test:
+	cd benchmark && $(GO) test ./...
 
 # race runs the concurrency-sensitive packages under the race detector.
 # The bench experiment suite takes ~3 minutes without race and several

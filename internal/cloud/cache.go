@@ -9,11 +9,12 @@ import (
 )
 
 // LRUCache is a byte-capacity-bounded LRU of data segments fetched from the
-// slow store during querying (paper §4.1: "we equip a 1GB in-memory LRU
-// cache to cache the data segments fetched from S3"). Concurrent misses on
+// stores during querying (paper §4.1: "we equip a 1GB in-memory LRU cache
+// to cache the data segments fetched from S3"; the LSM also serves its
+// fast-tier blocks from it, decoded — DESIGN.md §2.1). Concurrent misses on
 // the same key are deduplicated: GetOrFetch issues one store fetch and
 // shares the result with every waiter (singleflight), so a parallel query
-// whose workers touch the same slow-tier segment pays one S3 Get, not N.
+// whose workers touch the same segment pays one Get, not N.
 //
 // Aliasing contract: cached segments are IMMUTABLE after insert. Put takes
 // ownership of the data slice (the inserter must not write to it again),
@@ -185,12 +186,15 @@ func (c *LRUCache) Put(key string, data []byte) {
 	}
 }
 
-// Invalidate drops a key (after the underlying object is deleted or
-// replaced by compaction).
-func (c *LRUCache) Invalidate(key string) {
+// Invalidate drops keys whose underlying object was deleted, replaced by
+// compaction, or closed by its last reader. Segments already handed out
+// stay valid (readers alias them; the GC keeps them alive).
+func (c *LRUCache) Invalidate(keys ...string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.removeLocked(key)
+	for _, key := range keys {
+		c.removeLocked(key)
+	}
 }
 
 // removeLocked drops a key's entry, adjusting the byte accounting. The

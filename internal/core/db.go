@@ -55,7 +55,8 @@ type Options struct {
 	// the EBS-only configuration (Figure 17).
 	Fast cloud.Store
 	Slow cloud.Store
-	// CacheBytes bounds the slow-tier segment cache (default 1 GB, §4.1).
+	// CacheBytes bounds the cache of decoded SSTable blocks, which serves
+	// both tiers under one LRU (default 1 GB, §4.1; DESIGN.md §2.1).
 	CacheBytes int64
 
 	// ChunkSamples is the in-memory chunk size (default 32, §3.2).

@@ -21,7 +21,7 @@ func (h *Head) DefineSeries(id uint64, ls labels.Labels) error {
 	if _, ok := h.lookupSeries(id); ok {
 		return nil
 	}
-	s := &MemSeries{ID: id, Labels: ls}
+	s := &MemSeries{ID: id, Labels: h.strs.Intern(ls)}
 	if err := h.idx.Add(id, s.Labels); err != nil {
 		return err
 	}
@@ -46,7 +46,7 @@ func (h *Head) DefineGroup(gid uint64, groupTags labels.Labels) error {
 	}
 	g := &MemGroup{
 		GID:         gid,
-		GroupTags:   groupTags,
+		GroupTags:   h.strs.Intern(groupTags),
 		memberByKey: make(map[string]int),
 	}
 	if err := h.idx.Add(gid, g.GroupTags); err != nil {
@@ -78,6 +78,7 @@ func (h *Head) DefineGroupMember(gid uint64, slot uint32, unique labels.Labels) 
 		g.members = append(g.members, groupMember{})
 	}
 	if int(slot) == len(g.members) {
+		unique = h.strs.Intern(unique)
 		g.members = append(g.members, groupMember{unique: unique})
 		g.memberByKey[unique.Key()] = int(slot)
 		return true, h.idx.Add(gid, unique)

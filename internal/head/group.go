@@ -129,7 +129,7 @@ func (h *Head) getOrCreateGroup(groupTags labels.Labels) (*MemGroup, error) {
 	gid = index.GroupIDFlag | h.cat.nextGroup
 	g := &MemGroup{
 		GID:         gid,
-		GroupTags:   groupTags.Copy(),
+		GroupTags:   h.strs.Intern(groupTags),
 		memberByKey: make(map[string]int),
 	}
 	// The group ID is the postings ID for all of the group's tags (§3.1).
@@ -157,7 +157,8 @@ func (h *Head) getOrCreateMemberLocked(g *MemGroup, unique labels.Labels) (int, 
 		return slot, nil
 	}
 	slot := len(g.members)
-	g.members = append(g.members, groupMember{unique: unique.Copy()})
+	unique = h.strs.Intern(unique)
+	g.members = append(g.members, groupMember{unique: unique})
 	g.memberByKey[key] = slot
 	// Unique tags also point at the group ID in the second-level index.
 	if err := h.idx.Add(g.GID, unique); err != nil {

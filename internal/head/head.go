@@ -129,6 +129,9 @@ type Head struct {
 
 	idx *index.Index
 	cat catalog
+	// strs interns the tag strings of every series, group and member
+	// definition, however it arrives (append, WAL replay, catalog refresh).
+	strs labels.Interner
 
 	stripes [numStripes]stripe
 
@@ -317,7 +320,7 @@ func (h *Head) getOrCreateSeries(ls labels.Labels) (*MemSeries, error) {
 	}
 	h.cat.nextSeries++
 	id = h.cat.nextSeries
-	s := &MemSeries{ID: id, Labels: ls.Copy()}
+	s := &MemSeries{ID: id, Labels: h.strs.Intern(ls)}
 	if err := h.idx.Add(id, s.Labels); err != nil {
 		return nil, err
 	}
@@ -615,6 +618,9 @@ func (h *Head) PurgeBefore(watermark int64) int {
 			g.mu.Unlock()
 		}
 		st.mu.Unlock()
+	}
+	if purged > 0 {
+		h.strs.Forget()
 	}
 	return purged
 }

@@ -2,8 +2,10 @@ package labels
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewSorts(t *testing.T) {
@@ -176,5 +178,32 @@ func TestCopyIndependent(t *testing.T) {
 	b[0].Value = "2"
 	if a.Get("a") != "1" {
 		t.Fatal("Copy aliases original")
+	}
+}
+
+func TestInternerSharesAndClones(t *testing.T) {
+	var in Interner
+	big := strings.Repeat("x", 1<<16) + "host_0"
+	a := in.Intern(Labels{{Name: "hostname", Value: big[1<<16:]}})
+	b := in.Intern(Labels{{Name: strings.Clone("hostname"), Value: strings.Clone("host_0")}})
+	if !a.Equal(b) {
+		t.Fatalf("interned sets differ: %v vs %v", a, b)
+	}
+	if unsafe.StringData(a[0].Name) != unsafe.StringData(b[0].Name) || unsafe.StringData(a[0].Value) != unsafe.StringData(b[0].Value) {
+		t.Fatal("equal strings interned twice")
+	}
+	if unsafe.StringData(a[0].Value) == unsafe.StringData(big[1<<16:]) {
+		t.Fatal("interned value pins the buffer it was sliced from")
+	}
+	if len(in.strs) != 2 {
+		t.Fatalf("%d strings held, want 2", len(in.strs))
+	}
+	in.Forget()
+	c := in.Intern(Labels{{Name: strings.Clone("hostname"), Value: strings.Clone("host_0")}})
+	if !c.Equal(a) {
+		t.Fatalf("Intern after Forget = %v", c)
+	}
+	if unsafe.StringData(c[0].Name) == unsafe.StringData(a[0].Name) {
+		t.Fatal("Forget kept the canonical strings")
 	}
 }

@@ -3,12 +3,14 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // AllocHot enforces the zero-allocation discipline of the query hot path
 // (DESIGN.md §4.10): the Next/Seek/At bodies of internal/chunkenc iterators
-// run once per sample per source, so a single allocation there multiplies
-// into thousands per query. The bodies themselves must be allocation-free:
+// run once per sample per source, and sstable.TableIterator.Next once per
+// table entry, so a single allocation there multiplies into thousands per
+// query. The bodies themselves must be allocation-free:
 //
 //   - no make or new
 //   - no append (even a provably-no-grow append is flagged; the proof
@@ -18,9 +20,15 @@ import (
 // Allocation that genuinely belongs to the hot path goes into a named
 // helper (pool fetches like ChunkIterator.decode), which keeps it visible,
 // testable, and out of the per-sample loop.
+//
+// In internal/sstable it also guards the block codec's pooled DEFLATE
+// state: flate.NewWriter builds ~650 KB of tables and flate.NewReader
+// ~40 KB, which per 4 KB block was the largest cost of building and of
+// reading a table, so a flate constructor may be called only from a
+// sync.Pool's New function.
 var AllocHot = &Analyzer{
 	Name: "allochot",
-	Doc:  "Next/Seek/At bodies in internal/chunkenc must not allocate (make, new, append, closures)",
+	Doc:  "Next/Seek/At bodies in internal/chunkenc and internal/sstable must not allocate (make, new, append, closures); internal/sstable builds flate state only in a sync.Pool New",
 	Run:  runAllocHot,
 }
 
@@ -28,8 +36,12 @@ var AllocHot = &Analyzer{
 var hotMethods = map[string]bool{"Next": true, "Seek": true, "At": true}
 
 func runAllocHot(pass *Pass) {
-	if !pass.InScope("internal/chunkenc") {
+	codec := pass.InScope("internal/sstable")
+	if !codec && !pass.InScope("internal/chunkenc") {
 		return
+	}
+	if codec {
+		checkFlateConstructors(pass)
 	}
 	pass.Inspect(func(n ast.Node) bool {
 		fd, ok := n.(*ast.FuncDecl)
@@ -61,6 +73,35 @@ func runAllocHot(pass *Pass) {
 			return true
 		})
 		return false
+	})
+}
+
+// checkFlateConstructors reports every compress/flate constructor call
+// that is not inside the New function of a sync.Pool literal.
+func checkFlateConstructors(pass *Pass) {
+	pass.Inspect(func(n ast.Node) bool {
+		switch e := n.(type) {
+		case *ast.CompositeLit:
+			if !isSyncPool(derefNamed(pass.Info.TypeOf(e))) {
+				return true
+			}
+			for _, elt := range e.Elts {
+				kv, ok := elt.(*ast.KeyValueExpr)
+				if !ok {
+					continue
+				}
+				if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "New" {
+					if _, ok := kv.Value.(*ast.FuncLit); ok {
+						return false // the pool's constructor: the one place flate state is built
+					}
+				}
+			}
+		case *ast.CallExpr:
+			if name, ok := calleeFromPkg(pass.Info, e, "compress/flate"); ok && (strings.HasPrefix(name, "NewReader") || strings.HasPrefix(name, "NewWriter")) {
+				pass.Reportf(e.Pos(), "flate.%s builds compressor state per call; take it from a sync.Pool and Reset it (DESIGN.md §4.10)", name)
+			}
+		}
+		return true
 	})
 }
 

@@ -74,6 +74,12 @@ func derefNamed(t types.Type) *types.Named {
 // errorType is the universe error interface.
 var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
+// isSyncPool reports whether named is sync.Pool.
+func isSyncPool(named *types.Named) bool {
+	return named != nil && named.Obj().Pkg() != nil &&
+		named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "Pool"
+}
+
 // isErrorType reports whether t implements error (and is not the untyped
 // nil, which matches every interface vacuously).
 func isErrorType(t types.Type) bool {

@@ -143,9 +143,7 @@ func isPoolOp(info *types.Info, call *ast.CallExpr, name string) bool {
 	if s == nil || s.Kind() != types.MethodVal {
 		return false
 	}
-	named := derefNamed(s.Recv())
-	return named != nil && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "Pool"
+	return isSyncPool(derefNamed(s.Recv()))
 }
 
 // unwrapValue strips parens and type assertions: the checker tracks the

@@ -21,22 +21,20 @@ type mergedEntry struct {
 // collectEntries reads every entry of the given tables into memory, sorted
 // by (key, source table seq). Partitions are bounded (a few MB at the
 // paper's partition sizes), so an in-memory sort-merge is the simple and
-// correct choice.
+// correct choice. Each table costs one whole-object Get and never touches
+// the block cache; entry values alias the decoded blocks, which nothing
+// else holds.
 func collectEntries(handles []*tableHandle) ([]mergedEntry, error) {
 	var entries []mergedEntry
 	for _, h := range handles {
-		it := h.tbl.Iter(nil, nil)
+		it := h.tbl.IterWhole()
 		for it.Next() {
 			key, err := encoding.ParseKey(it.Key())
 			if err != nil {
 				it.Release()
 				return nil, fmt.Errorf("lsm: compact: %w", err)
 			}
-			entries = append(entries, mergedEntry{
-				key: key,
-				val: append([]byte(nil), it.Value()...),
-				seq: h.seq,
-			})
+			entries = append(entries, mergedEntry{key: key, val: it.Value(), seq: h.seq})
 		}
 		err := it.Err()
 		it.Release()
@@ -470,7 +468,7 @@ func (l *LSM) writePatch(p *partition, baseSeq uint64, kvs []tuple.KV) (*tableHa
 	if err := l.opts.Slow.Put(name, data); err != nil {
 		return nil, fmt.Errorf("lsm: write patch %s: %w", name, err)
 	}
-	tbl, err := sstable.OpenTableFromBytes(l.opts.Slow, name, l.cacheFor(l.opts.Slow), data)
+	tbl, err := sstable.OpenTableFromBytes(l.opts.Slow, name, l.opts.Cache, data)
 	if err != nil {
 		return nil, err
 	}
@@ -558,8 +556,7 @@ func (l *LSM) mergePatches(p *partition, idx int) (err error) {
 func routeByIDRange(tables []*tableHandle, id uint64) int {
 	idx := 0
 	for i, h := range tables {
-		lo, _ := h.idRange()
-		if lo <= id {
+		if h.firstID <= id {
 			idx = i
 		}
 	}

@@ -47,7 +47,8 @@ type Options struct {
 	// Slow is the object-store tier holding level 2. It may equal Fast
 	// (the EBS-only configuration of Figure 17).
 	Slow cloud.Store
-	// Cache is the shared segment cache for slow-tier reads; may be nil.
+	// Cache is the shared cache of decoded table blocks, both tiers; may be
+	// nil. Compaction reads bypass it (DESIGN.md §2.1).
 	Cache *cloud.LRUCache
 
 	// MemTableSize rotates the active memtable when its payload exceeds
@@ -153,21 +154,40 @@ type tableHandle struct {
 	store    cloud.Store
 	storeKey string
 	seq      uint64 // creation sequence: larger = newer data on conflicts
+	// firstID and lastID bound the series ids the table holds, read from
+	// its key bounds once: queries skip tables that cannot hold their id
+	// and patch routing picks base tables without re-parsing keys.
+	firstID, lastID uint64
 
 	refs     atomic.Int32
 	obsolete atomic.Bool
 }
 
 func newTableHandle(tbl *sstable.Table, store cloud.Store, storeKey string, seq uint64) *tableHandle {
-	h := &tableHandle{tbl: tbl, store: store, storeKey: storeKey, seq: seq}
+	h := &tableHandle{tbl: tbl, store: store, storeKey: storeKey, seq: seq, lastID: math.MaxUint64}
+	// Bounds that do not parse exclude nothing.
+	if k, err := encoding.ParseKey(tbl.FirstKey()); err == nil {
+		h.firstID = k.ID()
+	}
+	if k, err := encoding.ParseKey(tbl.LastKey()); err == nil {
+		h.lastID = k.ID()
+	}
 	h.refs.Store(1)
 	return h
 }
 
 func (h *tableHandle) retain() { h.refs.Add(1) }
 
+// release drops one reference. The last one out drops the table's decoded
+// blocks from the shared cache — whoever retired the table (compaction,
+// retention, a replica's view refresh) and whether or not the object is
+// deleted — so the cache holds blocks of live tables only.
 func (h *tableHandle) release() {
-	if h.refs.Add(-1) == 0 && h.obsolete.Load() {
+	if h.refs.Add(-1) != 0 {
+		return
+	}
+	h.tbl.DropCached()
+	if h.obsolete.Load() {
 		// Best effort: a failed delete leaks an object but never breaks
 		// correctness (it is no longer referenced by the tree). The delete
 		// is journaled by the operation that retired the table (compaction
@@ -183,17 +203,6 @@ func (h *tableHandle) release() {
 func (h *tableHandle) markObsolete() {
 	h.obsolete.Store(true)
 	h.release()
-}
-
-func (h *tableHandle) idRange() (uint64, uint64) {
-	var lo, hi uint64
-	if k, err := encoding.ParseKey(h.tbl.FirstKey()); err == nil {
-		lo = k.ID()
-	}
-	if k, err := encoding.ParseKey(h.tbl.LastKey()); err == nil {
-		hi = k.ID()
-	}
-	return lo, hi
 }
 
 // partition is one time partition: a half-open window [minT, maxT) and the
@@ -784,7 +793,7 @@ func (l *LSM) writeTables(store cloud.Store, level int, p *partition, kvs []tupl
 		if err := store.Put(name, data); err != nil {
 			return fmt.Errorf("lsm: write table %s: %w", name, err)
 		}
-		tbl, err := sstable.OpenTableFromBytes(store, name, l.cacheFor(store), data)
+		tbl, err := sstable.OpenTableFromBytes(store, name, l.opts.Cache, data)
 		if err != nil {
 			return fmt.Errorf("lsm: reopen table %s: %w", name, err)
 		}
@@ -806,15 +815,6 @@ func (l *LSM) writeTables(store cloud.Store, level int, p *partition, kvs []tupl
 		lastID = id
 	}
 	return handles, flushW()
-}
-
-// cacheFor returns the segment cache for slow-tier tables; fast-tier reads
-// skip the cache (EBS is byte-granular and cheap, §2.1).
-func (l *LSM) cacheFor(store cloud.Store) *cloud.LRUCache {
-	if store == l.opts.Slow && store.Tier() == cloud.TierObject {
-		return l.opts.Cache
-	}
-	return nil
 }
 
 // insertPartition inserts p keeping the slice sorted by minT.

@@ -83,13 +83,19 @@ func (l *LSM) ChunksForInto(buf []ChunkRef, id uint64, mint, maxt int64) ([]Chun
 			if !p.overlaps(mint, maxt+1) {
 				continue
 			}
+			// Tables whose id bounds exclude the id are not even retained:
+			// no iterator, no block load, no cache lookup.
 			for i, h := range p.tables {
-				h.retain()
-				scans = append(scans, tableScan{h: h, startT: p.minT})
+				if h.firstID <= id && id <= h.lastID {
+					h.retain()
+					scans = append(scans, tableScan{h: h, startT: p.minT})
+				}
 				if i < len(p.patches) {
 					for _, ph := range p.patches[i] {
-						ph.retain()
-						scans = append(scans, tableScan{h: ph, startT: p.minT})
+						if ph.firstID <= id && id <= ph.lastID {
+							ph.retain()
+							scans = append(scans, tableScan{h: ph, startT: p.minT})
+						}
 					}
 				}
 			}

@@ -87,7 +87,7 @@ func (b *viewBuilder) openHandle(store cloud.Store, key string, seq uint64) (*ta
 		b.adopted = append(b.adopted, h)
 		return h, nil
 	}
-	tbl, err := sstable.OpenTable(store, key, b.l.cacheFor(store))
+	tbl, err := sstable.OpenTable(store, key, b.l.opts.Cache)
 	if err != nil {
 		return nil, err
 	}

@@ -20,8 +20,35 @@ import (
 var ErrCorrupt = errors.New("sstable: corrupt")
 
 // decodeBlock verifies and decompresses one stored block: marker byte +
-// payload + 4-byte CRC over the payload.
+// payload + 4-byte CRC over the payload. The result is the caller's to
+// keep — a raw block aliases raw, an inflated one is a fresh exact-size
+// slice — and never aliases pooled state.
 func decodeBlock(raw []byte) ([]byte, error) {
+	z := inflaterPool.Get().(*inflater)
+	out, err := z.decode(raw)
+	inflaterPool.Put(z)
+	return out, err
+}
+
+// inflater is pooled DEFLATE decompressor state: the flate reader (~40 KB
+// of window and Huffman tables that flate.NewReader allocates per call)
+// and a scratch buffer blocks inflate into before one exact-size copy is
+// handed out. The copy is what lets a decoded block live in the shared
+// cache as an immutable segment with no capacity slack, while the scratch
+// goes back to the pool.
+type inflater struct {
+	src bytes.Reader
+	fr  io.Reader // a flate reader; implements flate.Resetter
+	buf []byte
+}
+
+var inflaterPool = sync.Pool{New: func() any {
+	z := &inflater{buf: make([]byte, 2*DefaultBlockSize)}
+	z.fr = flate.NewReader(&z.src)
+	return z
+}}
+
+func (z *inflater) decode(raw []byte) ([]byte, error) {
 	if len(raw) < 5 {
 		return nil, fmt.Errorf("%w: truncated block", ErrCorrupt)
 	}
@@ -36,21 +63,46 @@ func decodeBlock(raw []byte) ([]byte, error) {
 	case blockRaw:
 		return payload, nil
 	case blockFlate:
-		out, err := io.ReadAll(flate.NewReader(bytes.NewReader(payload)))
+		n, err := z.inflate(payload)
 		if err != nil {
 			return nil, fmt.Errorf("%w: block decompress: %w", ErrCorrupt, err)
 		}
-		return out, nil
+		return append(make([]byte, 0, n), z.buf[:n]...), nil
 	default:
 		return nil, fmt.Errorf("%w: unknown block marker %d", ErrCorrupt, marker)
 	}
 }
 
+// inflate decompresses payload into z.buf, growing it as needed, and
+// returns the decompressed length.
+func (z *inflater) inflate(payload []byte) (int, error) {
+	z.src.Reset(payload)
+	defer z.src.Reset(nil) // do not pin the stored block from the pool
+	if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
+		return 0, err
+	}
+	n := 0
+	for {
+		if n == len(z.buf) {
+			z.buf = append(z.buf, make([]byte, len(z.buf))...)
+		}
+		m, err := z.fr.Read(z.buf[n:])
+		n += m
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+}
+
 // Table is an open SSTable backed by a cloud store object. The footer,
 // index block, and bloom filter are read once at open time and pinned; data
-// blocks are fetched on demand through an optional shared LRU cache, so a
-// point or range query on the slow tier pays roughly one Get per touched
-// data block — the cost model of Equations 4 and 6.
+// blocks are fetched on demand through an optional shared LRU cache of
+// decoded blocks, so a point or range query pays one store read and one
+// inflate per touched block that is not already cached — the cost model of
+// Equations 4 and 6 on the slow tier, an IOP on the fast one.
 type Table struct {
 	store    cloud.Store
 	storeKey string
@@ -166,24 +218,16 @@ func openTable(store cloud.Store, storeKey string, cache *cloud.LRUCache, size i
 		// memory that may be reused; store reads hand us a private buffer.
 		t.bloom = append([]byte(nil), t.bloom...)
 	}
-	// First key: first entry of the first block.
+	// First key: first entry of the first block, read past the cache — an
+	// open is not a query, and must not evict what queries are using.
 	if len(t.indexOffs) > 0 {
-		var blk []byte
-		if data != nil {
-			raw, err := readRange(int64(t.indexOffs[0]), int64(t.indexLens[0]))
-			if err != nil {
-				return nil, err
-			}
-			blk, err = decodeBlock(raw)
-			if err != nil {
-				return nil, fmt.Errorf("sstable: %s: block 0: %w", storeKey, err)
-			}
-		} else {
-			var err error
-			blk, err = t.loadBlock(0)
-			if err != nil {
-				return nil, err
-			}
+		raw, err := readRange(int64(t.indexOffs[0]), int64(t.indexLens[0]))
+		if err != nil {
+			return nil, err
+		}
+		blk, err := decodeBlock(raw)
+		if err != nil {
+			return nil, fmt.Errorf("sstable: %s: block 0: %w", storeKey, err)
 		}
 		bd := encoding.NewDecbuf(blk)
 		_ = bd.Uvarint() // shared (0 for first entry)
@@ -225,18 +269,14 @@ func (t *Table) MetaBytes() int64 {
 
 // loadBlock fetches and verifies data block i. With a cache attached the
 // fetch goes through the cache's singleflight path, so concurrent query
-// workers missing on the same slow-tier block issue one store read.
+// workers missing on the same block issue one store read and one inflate.
 func (t *Table) loadBlock(i int) ([]byte, error) {
 	fetch := func() ([]byte, error) {
 		raw, err := t.store.GetRange(t.storeKey, int64(t.indexOffs[i]), int64(t.indexLens[i]))
 		if err != nil {
 			return nil, err
 		}
-		payload, err := decodeBlock(raw)
-		if err != nil {
-			return nil, fmt.Errorf("sstable: %s: block %d: %w", t.storeKey, i, err)
-		}
-		return payload, nil
+		return t.decode(raw, i)
 	}
 	if t.cache == nil {
 		// No cache means no singleflight leader to retry for us; apply the
@@ -250,6 +290,25 @@ func (t *Table) loadBlock(i int) ([]byte, error) {
 		return out, err
 	}
 	return t.cache.GetOrFetch(t.cacheKeys[i], fetch)
+}
+
+// decode is decodeBlock with the table and block named in the error.
+func (t *Table) decode(raw []byte, i int) ([]byte, error) {
+	blk, err := decodeBlock(raw)
+	if err != nil {
+		return nil, fmt.Errorf("sstable: %s: block %d: %w", t.storeKey, i, err)
+	}
+	return blk, nil
+}
+
+// DropCached removes the table's decoded blocks from the cache. The owner
+// of the last reference to an open table calls it when the table leaves the
+// tree, so blocks of tables that compaction replaced or retention dropped do
+// not sit in the cache until capacity pressure finds them.
+func (t *Table) DropCached() {
+	if t.cache != nil {
+		t.cache.Invalidate(t.cacheKeys...)
+	}
 }
 
 // blockFor returns the index of the first block whose last key >= key,
@@ -314,12 +373,35 @@ func (t *Table) Iter(start, end []byte) *TableIterator {
 	return it
 }
 
+// IterWhole fetches the whole table with a single store Get and returns an
+// iterator over every entry, decoding blocks out of the fetched bytes. It is
+// the read a compaction wants: each block exactly once, in order, for one
+// request instead of one per block, and without touching the block cache (a
+// one-pass scan would only push out blocks that queries are using). Values
+// alias the decoded blocks, which belong to the caller. An object whose
+// size differs from the size the table was opened with is a torn or
+// replaced table and reads as ErrCorrupt. Like any iterator's, the scan's
+// errors — the fetch's included — are reported by Err.
+func (t *Table) IterWhole() *TableIterator {
+	it := t.Iter(nil, nil)
+	it.err = cloud.DefaultRetry.Do(func() error {
+		var err error
+		it.whole, err = t.store.Get(t.storeKey)
+		return err
+	})
+	if it.err == nil && int64(len(it.whole)) != t.size {
+		it.err = fmt.Errorf("%w: %s: object is %d bytes, table was %d", ErrCorrupt, t.storeKey, len(it.whole), t.size)
+	}
+	return it
+}
+
 // TableIterator iterates key-value pairs in order, loading blocks lazily.
 // The block cursor is embedded by value and its key scratch is reused
 // across blocks and across pooled scans, so a steady-state scan allocates
 // nothing of its own.
 type TableIterator struct {
 	t         *Table
+	whole     []byte // the table's bytes when set (IterWhole): blocks come from here
 	end       []byte
 	nextBlock int
 	blk       blockIter
@@ -327,6 +409,19 @@ type TableIterator struct {
 	skipTo    []byte
 	err       error
 	done      bool
+}
+
+// loadBlock returns decoded block i: from the fetched table bytes of an
+// IterWhole scan, through the table's cache and store otherwise.
+func (it *TableIterator) loadBlock(i int) ([]byte, error) {
+	if it.whole == nil {
+		return it.t.loadBlock(i)
+	}
+	off, n := it.t.indexOffs[i], it.t.indexLens[i]
+	if off+n < off || off+n > uint64(len(it.whole)) {
+		return nil, fmt.Errorf("%w: %s: block %d out of bounds", ErrCorrupt, it.t.storeKey, i)
+	}
+	return it.t.decode(it.whole[off:off+n], i)
 }
 
 // Next advances to the next entry.
@@ -340,7 +435,7 @@ func (it *TableIterator) Next() bool {
 				it.done = true
 				return false
 			}
-			data, err := it.t.loadBlock(it.nextBlock)
+			data, err := it.loadBlock(it.nextBlock)
 			if err != nil {
 				it.err = err
 				return false

@@ -12,24 +12,7 @@ import (
 
 func buildTable(t *testing.T, blockSize int, kvs [][2][]byte) (*Table, cloud.Store) {
 	t.Helper()
-	w := NewWriter(blockSize)
-	for _, kv := range kvs {
-		if err := w.Add(kv[0], kv[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := w.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := cloud.NewMemStore(cloud.TierBlock, cloud.LatencyModel{})
-	if err := store.Put("t/1.sst", data); err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := OpenTable(store, "t/1.sst", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl, store, _ := tableOnStore(t, "t/1.sst", blockSize, kvs, nil)
 	return tbl, store
 }
 

@@ -14,6 +14,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"timeunion/internal/encoding"
 )
@@ -127,38 +128,61 @@ func (w *Writer) finishBlock() {
 	// Stored form: marker byte + (possibly compressed) payload + CRC
 	// trailer over the stored bytes.
 	stored := w.block.Get()
-	marker := blockRaw
-	if !w.noCompress {
-		if comp := deflateBytes(stored); comp != nil && len(comp) < len(stored) {
-			stored = comp
-			marker = blockFlate
+	if w.noCompress {
+		w.putStored(blockRaw, stored)
+	} else {
+		d := deflaterPool.Get().(*deflater)
+		if comp := d.deflate(stored); comp != nil && len(comp) < len(stored) {
+			w.putStored(blockFlate, comp) // copies comp out of the pooled buffer
+		} else {
+			w.putStored(blockRaw, stored)
 		}
+		deflaterPool.Put(d)
 	}
-	w.buf.PutByte(marker)
-	crc := crc32.Checksum(stored, crcTable)
-	w.buf.PutBytes(stored)
-	w.buf.PutBE32(crc)
 	w.indexKeys = append(w.indexKeys, append([]byte(nil), w.lastKey...))
 	w.indexOffs = append(w.indexOffs, off)
-	w.indexLens = append(w.indexLens, uint64(len(stored))+5)
+	w.indexLens = append(w.indexLens, uint64(w.buf.Len())-off)
 	w.block.Reset()
 	w.blockEntries = 0
 }
 
-// deflateBytes compresses p at the default level, returning nil on error.
-func deflateBytes(p []byte) []byte {
-	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil {
+// putStored appends one stored block to the table.
+func (w *Writer) putStored(marker byte, stored []byte) {
+	w.buf.PutByte(marker)
+	w.buf.PutBytes(stored)
+	w.buf.PutBE32(crc32.Checksum(stored, crcTable))
+}
+
+// deflater is pooled DEFLATE compressor state. A flate.Writer carries
+// ~650 KB of hash tables and windows that flate.NewWriter allocates and
+// zeroes; built per 4 KB block that was most of a table build's CPU.
+// Reset returns the compressor to its just-constructed state, so pooled and
+// fresh writers emit identical bytes (TestFormatPinned).
+type deflater struct {
+	fw  *flate.Writer
+	buf bytes.Buffer
+}
+
+var deflaterPool = sync.Pool{New: func() any {
+	d := new(deflater)
+	// The only error NewWriter returns is an out-of-range level.
+	d.fw, _ = flate.NewWriter(&d.buf, flate.DefaultCompression)
+	return d
+}}
+
+// deflate compresses p at the default level, returning nil on error. The
+// result aliases the deflater's buffer: valid until its next deflate, and
+// not past the deflater's return to the pool.
+func (d *deflater) deflate(p []byte) []byte {
+	d.buf.Reset()
+	d.fw.Reset(&d.buf)
+	if _, err := d.fw.Write(p); err != nil {
 		return nil
 	}
-	if _, err := fw.Write(p); err != nil {
+	if err := d.fw.Close(); err != nil {
 		return nil
 	}
-	if err := fw.Close(); err != nil {
-		return nil
-	}
-	return buf.Bytes()
+	return d.buf.Bytes()
 }
 
 // Finish completes the table and returns its bytes. The writer must not be
