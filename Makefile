@@ -50,13 +50,16 @@ tier1-replica:
 	TORTURE_SCHEDULES=12 TORTURE_SEED=20260807 $(GO) test -race -count=1 ./internal/core -run TestCompactionKillTorture
 
 # tier1-iter is the streaming read-path gate: the iterator contract and
-# streaming==materializing identity under the race detector, bounded fuzz
-# passes over the merge iterator and the end-to-end query comparison, and
-# one run of the narrow-range decode/alloc experiment.
+# streaming==materializing identity under the race detector, the selector
+# path (index and matchers) under the race detector, bounded fuzz passes
+# over the merge iterator, index.Select against its oracle and the
+# end-to-end query comparison, and one run of the narrow-range
+# decode/alloc experiment.
 tier1-iter:
-	$(GO) test -race -count=1 ./internal/chunkenc ./internal/lsm
+	$(GO) test -race -count=1 ./internal/chunkenc ./internal/lsm ./internal/index ./internal/labels
 	$(GO) test -race -count=1 ./internal/core -run 'TestStreaming|TestNarrowRange'
 	$(GO) test -count=1 ./internal/chunkenc -run '^$$' -fuzz FuzzMergeIterator -fuzztime 500x
+	$(GO) test -count=1 ./internal/index -run '^$$' -fuzz FuzzSelect -fuzztime 2000x
 	$(GO) test -count=1 ./internal/core -run '^$$' -fuzz FuzzStreamingQuery -fuzztime 25x
 	$(GO) test -count=1 -run '^$$' -bench BenchmarkQueryNarrowRange -benchtime 1x .
 

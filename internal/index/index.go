@@ -9,6 +9,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -80,20 +81,20 @@ func New(opts Options) (*Index, error) {
 // Close releases the trie's mapped regions.
 func (ix *Index) Close() error { return ix.trie.Close() }
 
-func tagKey(name, value string) []byte {
-	k := make([]byte, 0, len(name)+1+len(value))
-	k = append(k, name...)
-	k = append(k, Sep)
-	k = append(k, value...)
-	return k
+// appendKey appends the trie key of tag pair name=value to dst.
+func appendKey(dst []byte, name, value string) []byte {
+	dst = append(dst, name...)
+	dst = append(dst, Sep)
+	return append(dst, value...)
 }
 
 // Add indexes id under every tag pair in ls.
 func (ix *Index) Add(id uint64, ls labels.Labels) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	var key []byte
 	for _, l := range ls {
-		key := tagKey(l.Name, l.Value)
+		key = appendKey(key[:0], l.Name, l.Value)
 		pid, ok := ix.trie.Get(key)
 		if !ok {
 			pid = int32(len(ix.postings))
@@ -118,8 +119,10 @@ func (ix *Index) Add(id uint64, ls labels.Labels) error {
 func (ix *Index) Remove(id uint64, ls labels.Labels) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	var key []byte
 	for _, l := range ls {
-		if pid, ok := ix.trie.Get(tagKey(l.Name, l.Value)); ok {
+		key = appendKey(key[:0], l.Name, l.Value)
+		if pid, ok := ix.trie.Get(key); ok {
 			if ix.postings[pid].remove(id) {
 				ix.numPairs--
 			}
@@ -132,7 +135,7 @@ func (ix *Index) Remove(id uint64, ls labels.Labels) {
 func (ix *Index) Postings(name, value string) []uint64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	pid, ok := ix.trie.Get(tagKey(name, value))
+	pid, ok := ix.trie.Get(appendKey(nil, name, value))
 	if !ok {
 		return nil
 	}
@@ -156,139 +159,187 @@ func (ix *Index) LabelValues(name string) []string {
 }
 
 // Select evaluates tag selectors and returns the matching IDs, sorted.
-// Exact matchers use a single trie lookup; regex matchers union the
-// postings of every matching value of that tag name (prefix scan, paper
-// §3.4). Negative matchers subtract from the running result; a query with
-// only negative matchers starts from the full ID universe.
+// Each matcher costs what it names (DESIGN.md §4.4): a value set (= or a
+// regex of literal alternatives) is one trie lookup per value; any other
+// regex is one prefix scan of its tag's values (paper §3.4), bounded by the
+// literal of a `literal.*` pattern, with the regexp confirming each value.
+// Positive matchers intersect smallest first; a query with only negative
+// matchers starts from every indexed ID. A negative matcher drops the IDs
+// carrying a value its positive form accepts and, when that form accepts
+// "", also the IDs lacking the tag, as tsdb's label-set filter does.
 func (ix *Index) Select(matchers ...*labels.Matcher) ([]uint64, error) {
 	if len(matchers) == 0 {
 		return nil, fmt.Errorf("index: select needs at least one matcher")
 	}
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-
-	var result []uint64
-	started := false
-	// Positive matchers first: cheapest way to bound the candidate set.
-	for _, m := range matchers {
-		if m.Type == labels.MatchNotEqual || m.Type == labels.MatchNotRegexp {
-			continue
-		}
-		ids := ix.matchLocked(m)
-		if started {
-			result = intersect(result, ids)
-		} else {
-			result = ids
-			started = true
-		}
-		if len(result) == 0 {
-			return nil, nil
-		}
+	if ids := ix.selectLocked(sc, matchers); len(ids) > 0 {
+		return slices.Clone(ids), nil
 	}
-	if !started {
-		result = append([]uint64(nil), ix.all.ids...)
-	}
-	for _, m := range matchers {
-		if m.Type != labels.MatchNotEqual && m.Type != labels.MatchNotRegexp {
-			continue
-		}
-		// A negative matcher excludes IDs whose tag value matches the
-		// positive form of the matcher.
-		inverse, err := labels.NewMatcher(invert(m.Type), m.Name, m.Value)
-		if err != nil {
-			return nil, err
-		}
-		result = subtract(result, ix.matchLocked(inverse))
-		if len(result) == 0 {
-			return nil, nil
-		}
-	}
-	return result, nil
+	return nil, nil
 }
 
-func invert(t labels.MatchType) labels.MatchType {
-	if t == labels.MatchNotEqual {
-		return labels.MatchEqual
-	}
-	return labels.MatchRegexp
+// scratch is one Select's working memory, pooled so that the returned
+// slice is the only allocation Select itself makes.
+type scratch struct {
+	key   []byte     // trie key under construction
+	lists [][]uint64 // postings of the matchers, read in place under the RLock
+	other [][]uint64 // postings a negative matcher's positive form rejects
+	terms []term     // the positive matchers, as spans of lists
+	ids   []uint64   // the running result
 }
 
-func (ix *Index) matchLocked(m *labels.Matcher) []uint64 {
-	if m.Type == labels.MatchEqual {
-		if pid, ok := ix.trie.Get(tagKey(m.Name, m.Value)); ok {
-			// Copy: the result may be returned to the caller or reused
-			// across later postings mutations.
-			return append([]uint64(nil), ix.postings[pid].ids...)
+// term is one positive matcher: the union of lists[lo:hi], at most size IDs.
+type term struct{ lo, hi, size int }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release returns sc to the pool without the postings it aliased, so a
+// pooled scratch never pins a list that a later Add has reallocated.
+func (sc *scratch) release() {
+	clear(sc.lists[:cap(sc.lists)])
+	clear(sc.other[:cap(sc.other)])
+	scratchPool.Put(sc)
+}
+
+func (ix *Index) selectLocked(sc *scratch, matchers []*labels.Matcher) []uint64 {
+	lists, terms := sc.lists[:0], sc.terms[:0]
+	for _, m := range matchers {
+		if m.Inverse() != nil {
+			continue
 		}
-		return nil
+		lo, size := len(lists), 0
+		lists = ix.postingsOf(sc, m, lists)
+		if len(lists) == lo {
+			return nil
+		}
+		for _, l := range lists[lo:] {
+			size += len(l)
+		}
+		terms = append(terms, term{lo, len(lists), size})
 	}
-	// Regex: enumerate the tag name's values by trie prefix scan.
-	prefix := append([]byte(m.Name), Sep)
-	var lists [][]uint64
-	ix.trie.IteratePrefix(prefix, func(key []byte, pid int32) bool {
-		if m.Matches(string(key[len(prefix):])) && len(ix.postings[pid].ids) > 0 {
+	ids := sc.ids[:0]
+	if len(terms) == 0 {
+		ids = append(ids, ix.all.ids...)
+	} else {
+		// Smallest first: the result only shrinks.
+		slices.SortFunc(terms, func(a, b term) int { return a.size - b.size })
+		ids = union(ids, lists[terms[0].lo:terms[0].hi])
+		for _, t := range terms[1:] {
+			ids = retain(ids, lists[t.lo:t.hi], true)
+		}
+	}
+	for _, m := range matchers {
+		inv := m.Inverse()
+		if inv == nil || len(ids) == 0 {
+			continue
+		}
+		if inv.Matches("") {
+			// An ID lacking the tag reads as "", which inv accepts.
+			sc.other = ix.scan(sc, inv, "", false, sc.other[:0])
+			ids = retain(ids, sc.other, true)
+		}
+		lists = ix.postingsOf(sc, inv, lists[:0])
+		ids = retain(ids, lists, false)
+	}
+	sc.lists, sc.terms, sc.ids = lists, terms, ids
+	return ids
+}
+
+// postingsOf appends the non-empty postings lists of every value of m's tag
+// that the positive matcher m accepts.
+func (ix *Index) postingsOf(sc *scratch, m *labels.Matcher, lists [][]uint64) [][]uint64 {
+	vals := m.SetMatches()
+	if vals == nil {
+		return ix.scan(sc, m, m.Prefix(), true, lists)
+	}
+	for _, v := range vals {
+		sc.key = appendKey(sc.key[:0], m.Name, v)
+		if pid, ok := ix.trie.Get(sc.key); ok && len(ix.postings[pid].ids) > 0 {
 			lists = append(lists, ix.postings[pid].ids)
+		}
+	}
+	return lists
+}
+
+// scan appends the non-empty postings lists of every value of m's tag that
+// starts with prefix and that m accepts (want) or rejects (!want).
+func (ix *Index) scan(sc *scratch, m *labels.Matcher, prefix string, want bool, lists [][]uint64) [][]uint64 {
+	sc.key = appendKey(sc.key[:0], m.Name, prefix)
+	n := len(m.Name) + 1
+	ix.trie.IteratePrefix(sc.key, func(key []byte, pid int32) bool {
+		if ids := ix.postings[pid].ids; len(ids) > 0 && m.Matches(string(key[n:])) == want {
+			lists = append(lists, ids)
 		}
 		return true
 	})
-	return union(lists)
+	return lists
 }
 
-func intersect(a, b []uint64) []uint64 {
-	// a or b may alias internal postings storage; never write in place.
-	out := make([]uint64, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+// union appends the sorted union of lists to dst: a k-way merge over a
+// min-heap of the lists ordered by their heads. The lists must be non-empty
+// and are consumed.
+func union(dst []uint64, lists [][]uint64) []uint64 {
+	if len(lists) == 1 {
+		return append(dst, lists[0]...)
+	}
+	h := lists
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(h, i)
+	}
+	for len(h) > 0 {
+		if v := h[0][0]; len(dst) == 0 || dst[len(dst)-1] != v {
+			dst = append(dst, v)
+		}
+		if h[0] = h[0][1:]; len(h[0]) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(h, 0)
+	}
+	return dst
+}
+
+func down(h [][]uint64, i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && h[l][0] < h[m][0] {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r][0] < h[m][0] {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// retain keeps, in place, the IDs that are (want) or are not (!want) in any
+// of lists. It walks each list forward once and consumes it.
+func retain(ids []uint64, lists [][]uint64, want bool) []uint64 {
+	out := ids[:0]
+	for _, id := range ids {
+		found := false
+		for i, l := range lists {
+			for len(l) > 0 && l[0] < id {
+				l = l[1:]
+			}
+			lists[i] = l
+			if len(l) > 0 && l[0] == id {
+				found = true
+				break
+			}
+		}
+		if found == want {
+			out = append(out, id)
 		}
 	}
 	return out
-}
-
-func subtract(a, b []uint64) []uint64 {
-	out := make([]uint64, 0, len(a))
-	j := 0
-	for _, v := range a {
-		for j < len(b) && b[j] < v {
-			j++
-		}
-		if j < len(b) && b[j] == v {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func union(lists [][]uint64) []uint64 {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return append([]uint64(nil), lists[0]...)
-	}
-	var out []uint64
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	// Dedup in place.
-	w := 0
-	for i, v := range out {
-		if i == 0 || v != out[w-1] {
-			out[w] = v
-			w++
-		}
-	}
-	return out[:w]
 }
 
 // Stats reports the index's memory accounting, used by the Figure 3 / 16 /

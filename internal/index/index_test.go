@@ -3,10 +3,13 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"timeunion/internal/cloud"
 	"timeunion/internal/labels"
+	"timeunion/internal/tsdb"
 )
 
 func newTestIndex(t *testing.T) *Index {
@@ -220,32 +223,60 @@ func TestGroupIDSpace(t *testing.T) {
 	}
 }
 
+// TestSelectAgainstBruteForce checks Select against a filter over each
+// series' labels, and against the tsdb baseline given the same label sets.
+// rack is missing from a third of the series: a positive matcher selects
+// only series carrying the tag, and a negative one reads a missing tag as
+// "", so rack!="" and rack!~".*" drop the series without a rack.
 func TestSelectAgainstBruteForce(t *testing.T) {
 	ix := newTestIndex(t)
+	db, err := tsdb.Open(tsdb.Options{Store: cloud.NewMemStore(cloud.TierBlock, cloud.LatencyModel{})})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rnd := rand.New(rand.NewSource(11))
 	type entry struct {
 		id uint64
 		ls labels.Labels
 	}
 	var entries []entry
+	byID := map[uint64]labels.Labels{}
 	for i := uint64(1); i <= 400; i++ {
-		ls := labels.FromStrings(
+		pairs := []string{
 			"metric", fmt.Sprintf("m%d", rnd.Intn(8)),
 			"host", fmt.Sprintf("h%d", rnd.Intn(20)),
 			"dc", fmt.Sprintf("dc%d", rnd.Intn(3)),
-		)
+		}
+		if r := rnd.Intn(6); r < 4 {
+			pairs = append(pairs, "rack", fmt.Sprintf("r%d", r))
+		}
+		ls := labels.FromStrings(pairs...)
+		if _, err := db.Append(ls, 0, float64(i)); err != nil {
+			continue // a label set drawn twice: tsdb has it already
+		}
 		entries = append(entries, entry{i, ls})
+		byID[i] = ls
 		if err := ix.Add(i, ls); err != nil {
 			t.Fatal(err)
 		}
 	}
+	re := labels.MustMatcher
 	queries := [][]*labels.Matcher{
 		{labels.MustEqual("metric", "m3")},
 		{labels.MustEqual("metric", "m1"), labels.MustEqual("dc", "dc0")},
-		{labels.MustMatcher(labels.MatchRegexp, "host", "h1.*")},
-		{labels.MustMatcher(labels.MatchRegexp, "metric", "m[0-3]"), labels.MustMatcher(labels.MatchNotEqual, "dc", "dc1")},
-		{labels.MustMatcher(labels.MatchNotRegexp, "metric", "m.*")},
+		{re(labels.MatchRegexp, "host", "h1.*")},
+		{re(labels.MatchRegexp, "metric", "m[0-3]"), re(labels.MatchNotEqual, "dc", "dc1")},
+		{re(labels.MatchNotRegexp, "metric", "m.*")},
+		{re(labels.MatchRegexp, "host", "h3|h7|h11|h3")},
+		{re(labels.MatchRegexp, "rack", "r1|"), labels.MustEqual("dc", "dc2")},
+		{re(labels.MatchRegexp, "rack", ".*")},
+		{labels.MustEqual("metric", "m2"), re(labels.MatchNotEqual, "rack", "")},
+		{labels.MustEqual("metric", "m2"), re(labels.MatchNotEqual, "rack", "r1")},
+		{re(labels.MatchNotRegexp, "rack", ".*")},
+		{re(labels.MatchNotRegexp, "rack", "r[01]|"), re(labels.MatchRegexp, "host", "h1.*")},
+		{re(labels.MatchNotRegexp, "rack", "r[01]"), re(labels.MatchRegexp, "host", "h1.*")},
 	}
+	wantSets := make([][]string, len(queries))
 	for qi, ms := range queries {
 		got, err := ix.Select(ms...)
 		if err != nil {
@@ -255,7 +286,7 @@ func TestSelectAgainstBruteForce(t *testing.T) {
 		for _, e := range entries {
 			match := true
 			for _, m := range ms {
-				if !m.Matches(e.ls.Get(m.Name)) {
+				if m.Inverse() == nil && !e.ls.Has(m.Name) || !m.Matches(e.ls.Get(m.Name)) {
 					match = false
 					break
 				}
@@ -264,13 +295,35 @@ func TestSelectAgainstBruteForce(t *testing.T) {
 				want = append(want, e.id)
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("query %d: got %d ids, want %d", qi, len(got), len(want))
+		if !slices.Equal(got, want) {
+			t.Fatalf("query %d: got %v, want %v", qi, got, want)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("query %d: got[%d]=%d want %d", qi, i, got[i], want[i])
+		for _, id := range got {
+			wantSets[qi] = append(wantSets[qi], byID[id].String())
+		}
+		slices.Sort(wantSets[qi])
+	}
+	// The tsdb baseline, from its head and then from a flushed block.
+	for pass := 0; pass < 2; pass++ {
+		for qi, ms := range queries {
+			res, err := db.Query(0, 0, ms...)
+			if err != nil {
+				t.Fatal(err)
 			}
+			var gotSets []string
+			for _, r := range res {
+				gotSets = append(gotSets, r.Labels.String())
+			}
+			slices.Sort(gotSets)
+			if !slices.Equal(gotSets, wantSets[qi]) {
+				t.Fatalf("query %d pass %d: tsdb selects %d series, TimeUnion %d", qi, pass, len(gotSets), len(wantSets[qi]))
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if db.NumBlocks() != 1 {
+			t.Fatalf("%d tsdb blocks after Flush, want 1", db.NumBlocks())
 		}
 	}
 }

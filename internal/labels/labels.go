@@ -7,9 +7,11 @@ package labels
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // Label is a single tag pair.
@@ -333,26 +335,63 @@ func (t MatchType) String() string {
 	return "?"
 }
 
-// Matcher is a single tag selector used in queries.
+// Matcher is a single tag selector used in queries. NewMatcher resolves
+// its shape once, so an index can answer it by lookup: an equality or a
+// regex of |-separated literals is a value set, a literal followed by .*
+// is a prefix, and only the remaining regexes need the compiled regexp.
 type Matcher struct {
 	Type  MatchType
 	Name  string
 	Value string
 
-	re *regexp.Regexp
+	set    []string       // = and literal-set =~: every accepted value, sorted, deduplicated
+	prefix string         // other =~: a literal every accepted value starts with ("" if none)
+	re     *regexp.Regexp // =~ that is not a literal set
+	inv    *Matcher       // != and !~: the positive form
 }
 
-// NewMatcher builds a matcher; regex values are compiled anchored.
+// NewMatcher builds a matcher; regex values are anchored.
 func NewMatcher(t MatchType, name, value string) (*Matcher, error) {
 	m := &Matcher{Type: t, Name: name, Value: value}
-	if t == MatchRegexp || t == MatchNotRegexp {
+	switch t {
+	case MatchEqual:
+		m.set = []string{value}
+	case MatchRegexp:
+		alts := strings.Split(value, "|")
+		if !slices.ContainsFunc(alts, func(p string) bool { return !isLiteral(p) }) {
+			slices.Sort(alts)
+			m.set = slices.Compact(alts)
+			break
+		}
 		re, err := regexp.Compile("^(?:" + value + ")$")
 		if err != nil {
 			return nil, fmt.Errorf("labels: bad matcher regex %q: %w", value, err)
 		}
 		m.re = re
+		if lit, ok := strings.CutSuffix(value, ".*"); ok && isLiteral(lit) {
+			m.prefix = lit
+		}
+	case MatchNotEqual, MatchNotRegexp:
+		pos := MatchEqual
+		if t == MatchNotRegexp {
+			pos = MatchRegexp
+		}
+		inv, err := NewMatcher(pos, name, value)
+		if err != nil {
+			return nil, err
+		}
+		m.inv = inv
+	default:
+		return nil, fmt.Errorf("labels: unknown match type %d", t)
 	}
 	return m, nil
+}
+
+// isLiteral reports whether the regex p matches exactly the string p: it
+// has no metacharacter, and no U+FFFD or invalid UTF-8, which the regexp
+// package would match against any invalid byte of a value.
+func isLiteral(p string) bool {
+	return regexp.QuoteMeta(p) == p && !strings.ContainsRune(p, utf8.RuneError)
 }
 
 // MustMatcher is NewMatcher that panics on a bad regex, for tests/examples.
@@ -371,18 +410,27 @@ func MustEqual(name, value string) *Matcher {
 
 // Matches reports whether the matcher accepts value v.
 func (m *Matcher) Matches(v string) bool {
-	switch m.Type {
-	case MatchEqual:
-		return v == m.Value
-	case MatchNotEqual:
-		return v != m.Value
-	case MatchRegexp:
-		return m.re.MatchString(v)
-	case MatchNotRegexp:
-		return !m.re.MatchString(v)
+	if m.inv != nil {
+		return !m.inv.Matches(v)
 	}
-	return false
+	if m.set != nil {
+		_, ok := slices.BinarySearch(m.set, v)
+		return ok
+	}
+	return m.re.MatchString(v)
 }
+
+// Inverse returns the positive form of a != or !~ matcher (= or =~ with
+// the same name and value), built once by NewMatcher, and nil for = and =~.
+func (m *Matcher) Inverse() *Matcher { return m.inv }
+
+// SetMatches returns every value an = or literal-set =~ matcher accepts,
+// sorted; nil for any other matcher. The caller must not modify it.
+func (m *Matcher) SetMatches() []string { return m.set }
+
+// Prefix returns the literal of a `literal.*` =~ matcher, which starts
+// every value it accepts, and "" for any other matcher.
+func (m *Matcher) Prefix() string { return m.prefix }
 
 // String renders the matcher as name=~"value".
 func (m *Matcher) String() string {

@@ -1,6 +1,8 @@
 package labels
 
 import (
+	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -142,6 +144,55 @@ func TestMatchers(t *testing.T) {
 	nre := MustMatcher(MatchNotRegexp, "metric", "disk.*")
 	if nre.Matches("diskio") || !nre.Matches("cpu") {
 		t.Fatal("not-regexp matcher wrong")
+	}
+}
+
+// TestMatcherShapes pins the shape NewMatcher resolves for each kind of
+// pattern, and that Matches on the resolved shape agrees with the anchored
+// regexp on values that probe the edges: "", newlines, case, invalid UTF-8
+// and U+FFFD.
+func TestMatcherShapes(t *testing.T) {
+	for _, tc := range []struct {
+		value  string
+		set    []string
+		prefix string
+	}{
+		{"cpu", []string{"cpu"}, ""},
+		{"host_3|host_7|host_3", []string{"host_3", "host_7"}, ""},
+		{"a|", []string{"", "a"}, ""},
+		{"", []string{""}, ""},
+		{"a\nb", []string{"a\nb"}, ""},
+		{"host_.*", nil, "host_"},
+		{".*", nil, ""},
+		{"a.b", nil, ""},
+		{"h[0-3]", nil, ""},
+		{"(?i)H1", nil, ""},
+		{"a|b.*", nil, ""},
+		{`a\.*`, nil, ""},
+		{"�", nil, ""},
+		{"�.*", nil, ""},
+	} {
+		m := MustMatcher(MatchRegexp, "n", tc.value)
+		if !slices.Equal(m.SetMatches(), tc.set) || m.Prefix() != tc.prefix {
+			t.Errorf("%q: set %q prefix %q, want %q %q", tc.value, m.SetMatches(), m.Prefix(), tc.set, tc.prefix)
+		}
+		re := regexp.MustCompile("^(?:" + tc.value + ")$")
+		not := MustMatcher(MatchNotRegexp, "n", tc.value)
+		if not.Inverse() == nil || not.Inverse().Type != MatchRegexp || not.SetMatches() != nil {
+			t.Errorf("%q: !~ not resolved to its =~ form", tc.value)
+		}
+		for _, v := range []string{"", "a", "b", "a\nb", "cpu", "CPU", "host_3", "host_3\n", "host_", "h1", "H1", "axb", "a.b", "\xff", "�", "�x"} {
+			if m.Matches(v) != re.MatchString(v) || not.Matches(v) == re.MatchString(v) {
+				t.Errorf("%q on %q: =~ %v, !~ %v, regexp %v", tc.value, v, m.Matches(v), not.Matches(v), re.MatchString(v))
+			}
+		}
+	}
+	eq, ne := MustEqual("n", "v"), MustMatcher(MatchNotEqual, "n", "v")
+	if !slices.Equal(eq.SetMatches(), []string{"v"}) || eq.Inverse() != nil || ne.Inverse().Type != MatchEqual {
+		t.Fatal("= / != shapes wrong")
+	}
+	if _, err := NewMatcher(MatchType(9), "n", "v"); err == nil {
+		t.Fatal("unknown match type accepted")
 	}
 }
 

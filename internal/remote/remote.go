@@ -280,17 +280,20 @@ func NewServer(b Backend) http.Handler {
 		flusher, _ := w.(http.Flusher)
 		for {
 			qs, ok, err := cursor.Next()
+			if err == nil && !ok {
+				return
+			}
+			if err == nil {
+				// A series that cannot be encoded (NaN, ±Inf) writes nothing,
+				// so it ends the stream with an error line like a cursor
+				// failure; if the client went away, that write fails too.
+				err = enc.Encode(qs)
+			}
 			if err != nil {
 				_ = enc.Encode(struct {
 					Error string `json:"error"`
 				}{Error: err.Error()})
 				return
-			}
-			if !ok {
-				return
-			}
-			if err := enc.Encode(qs); err != nil {
-				return // client went away
 			}
 			if flusher != nil {
 				flusher.Flush()
@@ -341,9 +344,16 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// reply encodes v before writing anything, so a value encoding/json
+// refuses (a NaN or ±Inf sample) is a 500, not an empty 200.
 func reply(w http.ResponseWriter, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		httpError(w, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func httpError(w http.ResponseWriter, err error) {

@@ -3,7 +3,9 @@ package remote
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -13,6 +15,7 @@ import (
 
 	"timeunion/internal/cloud"
 	"timeunion/internal/core"
+	"timeunion/internal/labels"
 	"timeunion/internal/tsdb"
 )
 
@@ -209,6 +212,29 @@ func TestQueryStreamOverHTTP(t *testing.T) {
 		}
 		if len(s.Labels) == 0 || len(s.Samples) == 0 {
 			t.Fatalf("line %q decoded empty", line)
+		}
+	}
+}
+
+// TestNonFiniteSampleIsAnError: encoding/json refuses NaN and ±Inf, so a
+// query reaching such a sample must fail on both endpoints rather than end
+// early with the remaining series silently missing.
+func TestNonFiniteSampleIsAnError(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		client, db := newTUServer(t)
+		for i, x := range []float64{1, v, 2} {
+			if _, err := db.Append(labels.FromStrings("metric", "cpu", "host", fmt.Sprintf("h%d", i)), 10, x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		req := QueryRequest{MinT: 0, MaxT: 100, Matchers: []MatcherSpec{{Type: "=", Name: "metric", Value: "cpu"}}}
+		n := 0
+		err := client.QueryStream(req, func(QuerySeries) error { n++; return nil })
+		if err == nil {
+			t.Fatalf("%v: QueryStream returned %d series and no error", v, n)
+		}
+		if _, err := client.Query(req); err == nil || !strings.Contains(err.Error(), "500") {
+			t.Fatalf("%v: Query error = %v, want a 500", v, err)
 		}
 	}
 }
