@@ -115,13 +115,6 @@ func BenchmarkTable3Sizes(b *testing.B) {
 	runExperiment(b, "tab3", "index:tsdb", "index:TU", "index:TU-Group")
 }
 
-// BenchmarkQueryNarrowRange regenerates the streaming read-path experiment:
-// a narrow query late in a partition, comparing decoded bytes and heap
-// allocations of the iterator pipeline against the eager materializing path.
-func BenchmarkQueryNarrowRange(b *testing.B) {
-	runExperiment(b, "iter", "decoded:reduction-pct", "allocs:reduction-pct")
-}
-
 // --- Parallel query / append benchmarks ---
 
 // disabledFaultStore wraps s in a FaultStore with injection switched off.

@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"timeunion/internal/bench"
@@ -26,7 +27,7 @@ import (
 
 func main() {
 	var (
-		exp             = flag.String("exp", "", "experiment ID (fig1, fig3, fig4, fig13, fig14, fig15, fig16, fig17, fig18a, fig18b, fig19, tab3)")
+		exp             = flag.String("exp", "", "experiment ID ("+strings.Join(bench.IDs(), ", ")+")")
 		all             = flag.Bool("all", false, "run every experiment")
 		list            = flag.Bool("list", false, "list experiments")
 		hosts           = flag.Int("hosts", 8, "number of TSBS DevOps hosts (101 series each)")
@@ -40,11 +41,6 @@ func main() {
 		faultSeed       = flag.Int64("faultseed", 0, "fault-injection seed (0 = derive from -seed)")
 		jsonDir         = flag.String("json", "", "also write each report as <dir>/BENCH_<ID>.json")
 		metrics         = flag.Bool("metrics", false, "print each engine's metric snapshot after the report table")
-		sloDur          = flag.Duration("slodur", 0, "slo: sustained-load duration (0 = experiment default)")
-		sloRate         = flag.Int("slorate", 0, "slo: write rounds per second (0 = default)")
-		sloQPS          = flag.Int("sloqps", 0, "slo: queries per second (0 = default)")
-		sloWrite99      = flag.Float64("slowrite99", 0, "slo: write p99 threshold in ms (0 = default)")
-		sloQuery99      = flag.Float64("sloquery99", 0, "slo: query p99 threshold in ms (0 = default)")
 	)
 	flag.Parse()
 
@@ -65,11 +61,6 @@ func main() {
 		CompactionWorkers: *parallelCompact,
 		FaultProb:         *faults,
 		FaultSeed:         *faultSeed,
-		SLODuration:       *sloDur,
-		SLOIngestRate:     *sloRate,
-		SLOQueryRate:      *sloQPS,
-		SLOWriteP99Ms:     *sloWrite99,
-		SLOQueryP99Ms:     *sloQuery99,
 	}
 
 	var toRun []bench.Experiment

@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -61,18 +60,6 @@ type Config struct {
 	CompactionWorkers int
 	// FaultSeed pins the fault schedule (0 derives it from Seed).
 	FaultSeed int64
-	// Verbose prints progress lines while running.
-	Verbose bool
-
-	// SLO harness knobs (the slo experiment; zero values take its
-	// defaults). The run drives the HTTP server at SLOIngestRate write
-	// rounds and SLOQueryRate queries per second for SLODuration, then
-	// fails unless every p99 stays under its threshold.
-	SLODuration   time.Duration
-	SLOIngestRate int
-	SLOQueryRate  int
-	SLOWriteP99Ms float64
-	SLOQueryP99Ms float64
 }
 
 // withDefaults fills the paper-shaped defaults at a laptop scale.
@@ -112,15 +99,6 @@ type Report struct {
 	// Only engines with an instrumented core (the TimeUnion variants)
 	// appear; baselines have no registry.
 	Metrics map[string]map[string]float64 `json:",omitempty"`
-	// Alloc holds per-path heap allocation accounting for experiments that
-	// compare read-path implementations.
-	Alloc map[string]AllocStat `json:",omitempty"`
-}
-
-// AllocStat is the heap allocation cost of one measured operation.
-type AllocStat struct {
-	AllocsPerOp float64
-	BytesPerOp  float64
 }
 
 func newReport(id, title string, header ...string) *Report {
@@ -174,34 +152,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// setAlloc records one measured path's allocation cost.
-func (r *Report) setAlloc(path string, s AllocStat) {
-	if r.Alloc == nil {
-		r.Alloc = map[string]AllocStat{}
-	}
-	r.Alloc[path] = s
-}
-
-// measureAllocs runs fn iters times on a single OS thread and returns the
-// mean heap allocations and bytes per run (testing.B ReportAllocs style,
-// usable outside the testing harness).
-func measureAllocs(iters int, fn func() error) (AllocStat, error) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < iters; i++ {
-		if err := fn(); err != nil {
-			return AllocStat{}, err
-		}
-	}
-	runtime.ReadMemStats(&after)
-	return AllocStat{
-		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(iters),
-		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / float64(iters),
-	}, nil
 }
 
 // setMetrics records an engine's end-of-run metrics snapshot.

@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Experiment is a runnable reproduction of one paper figure/table.
 type Experiment struct {
@@ -26,14 +23,19 @@ var Experiments = []Experiment{
 	{"fig18b", "Different amounts of out-of-order data", Fig18b},
 	{"fig19", "Dynamic size control", Fig19},
 	{"tab3", "Index and data size", Table3},
-	{"iter", "Streaming iterator read path (narrow range)", IterNarrowRange},
-	{"alloc", "Zero-allocation read path (before/after)", Alloc},
 	{"abl-chunk", "Ablation: in-memory chunk size", AblChunkSize},
 	{"abl-patch", "Ablation: L2 patch threshold", AblPatchThreshold},
 	{"abl-onelevel", "Ablation: one slow level vs leveled LSM", AblOneLevelSlow},
 	{"compact", "Serial vs parallel compaction throughput", CompactParallel},
-	{"slo", "Sustained-load SLO harness", SLO},
-	{"replica", "Shared-storage read replicas", Replica},
+}
+
+// IDs returns every registered experiment ID in registry order.
+func IDs() []string {
+	ids := make([]string, len(Experiments))
+	for i, e := range Experiments {
+		ids[i] = e.ID
+	}
+	return ids
 }
 
 // Lookup finds an experiment by ID.
@@ -43,10 +45,5 @@ func Lookup(id string) (Experiment, error) {
 			return e, nil
 		}
 	}
-	var ids []string
-	for _, e := range Experiments {
-		ids = append(ids, e.ID)
-	}
-	sort.Strings(ids)
-	return Experiment{}, fmt.Errorf("bench: unknown experiment %q (have %v)", id, ids)
+	return Experiment{}, fmt.Errorf("bench: unknown experiment %q (have %v)", id, IDs())
 }

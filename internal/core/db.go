@@ -30,11 +30,9 @@ import (
 type ChunkStore interface {
 	// Put inserts a serialized chunk.
 	Put(key encoding.Key, value []byte) error
-	// ChunksFor returns the chunks of id overlapping [mint, maxt],
-	// rank-sorted oldest first.
-	ChunksFor(id uint64, mint, maxt int64) ([]lsm.ChunkRef, error)
-	// ChunksForInto is ChunksFor appending into buf (overwritten from
-	// index 0), so per-query chunk lists reuse one backing array. The
+	// ChunksForInto returns the chunks of id overlapping [mint, maxt],
+	// rank-sorted oldest first, appending into buf (overwritten from
+	// index 0) so per-query chunk lists reuse one backing array. The
 	// returned Values may alias immutable storage and must be treated as
 	// read-only (see lsm.ChunksForInto).
 	ChunksForInto(buf []lsm.ChunkRef, id uint64, mint, maxt int64) ([]lsm.ChunkRef, error)

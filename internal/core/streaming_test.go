@@ -38,7 +38,7 @@ func legacySeries(t testing.TB, db *DB, id uint64, mint, maxt int64) (Series, bo
 	if !ok {
 		return Series{}, false
 	}
-	chunks, err := db.store.ChunksFor(id, mint, maxt)
+	chunks, err := db.store.ChunksForInto(nil, id, mint, maxt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func legacyGroup(t testing.TB, db *DB, gid uint64, mint, maxt int64, matchers []
 	if !ok {
 		return nil
 	}
-	chunks, err := db.store.ChunksFor(gid, mint, maxt)
+	chunks, err := db.store.ChunksForInto(nil, gid, mint, maxt)
 	if err != nil {
 		t.Fatal(err)
 	}

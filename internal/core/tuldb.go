@@ -46,11 +46,6 @@ func (s *ldbChunkStore) Put(key encoding.Key, value []byte) error {
 	return s.db.Put(key[:], value)
 }
 
-// ChunksFor implements ChunkStore.
-func (s *ldbChunkStore) ChunksFor(id uint64, mint, maxt int64) ([]lsm.ChunkRef, error) {
-	return s.ChunksForInto(nil, id, mint, maxt)
-}
-
 // ChunksForInto implements ChunkStore, appending into buf (overwritten from
 // index 0).
 func (s *ldbChunkStore) ChunksForInto(buf []lsm.ChunkRef, id uint64, mint, maxt int64) ([]lsm.ChunkRef, error) {

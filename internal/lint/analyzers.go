@@ -17,7 +17,6 @@ func All() []*Analyzer {
 		FaultCover,
 		JournalCover,
 		LockGraph,
-		LockOrder,
 		MetricName,
 		MmapEscape,
 		PoolOwn,

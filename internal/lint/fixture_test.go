@@ -112,7 +112,7 @@ func runFixtureTest(t *testing.T, a *Analyzer, fixture string) {
 }
 
 func TestAtomicAlign(t *testing.T)  { runFixtureTest(t, AtomicAlign, "atomicalign") }
-func TestLockOrder(t *testing.T)    { runFixtureTest(t, LockOrder, "lockorder") }
+func TestLockOrder(t *testing.T)    { runFixtureTest(t, LockGraph, "lockorder") }
 func TestErrWrap(t *testing.T)      { runFixtureTest(t, ErrWrap, "errwrap") }
 func TestMetricName(t *testing.T)   { runFixtureTest(t, MetricName, "metricname") }
 func TestCtxFlow(t *testing.T)      { runFixtureTest(t, CtxFlow, "ctxflow") }

@@ -10,10 +10,10 @@ import (
 )
 
 // LockGraph enforces the module-wide lock hierarchy (DESIGN.md §4.5, §4.11,
-// §4.14) that the per-package lockorder analyzer cannot see: it builds a
-// lock-order graph over every package at once, so an acquisition chain that
-// crosses a function call — or a package boundary, like lsm holding l.mu
-// while calling into head — still produces an edge.
+// §4.14), the head's catalog → stripe → series/group order included: it
+// builds a lock-order graph over every package at once, so an acquisition
+// chain that crosses a function call — or a package boundary, like lsm
+// holding l.mu while calling into head — still produces an edge.
 //
 // Lock classes are mutex-typed struct fields identified by declaring
 // package, type, and field ("lsm.LSM.manifestMu"). The declared hierarchy
@@ -161,11 +161,11 @@ func (lg *lockGrapher) addEdge(from, to lockClass, w lockEdge) {
 	}
 }
 
-// scanBody walks one executable body, tracking held classes the way
-// lockorder does (deferred unlocks pin their lock to function end), but
-// branch-aware: a lock acquired in an if/case body that terminates (returns
-// or breaks) is not held by the statements after it; a branch that falls
-// through contributes its held set conservatively (union — may-hold).
+// scanBody walks one executable body, tracking held classes (deferred
+// unlocks pin their lock to function end), branch-aware: a lock acquired in
+// an if/case body that terminates (returns or breaks) is not held by the
+// statements after it; a branch that falls through contributes its held set
+// conservatively (union — may-hold).
 // held is the entry state: nil for a declaration or a goroutine literal
 // (which runs with its own, empty state), the enclosing snapshot is NOT
 // propagated into literals because they execute at an unknown later time.

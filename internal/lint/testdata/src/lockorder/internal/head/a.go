@@ -1,5 +1,6 @@
-// Package head is the lockorder fixture: acquisitions must follow the
-// catalog → stripe → series/group hierarchy of DESIGN.md §4.5.
+// Package head is the lock-order fixture: acquisitions must follow the
+// catalog → stripe → series/group hierarchy of DESIGN.md §4.5, which
+// lockgraph enforces.
 package head
 
 import "sync"
@@ -28,10 +29,11 @@ func (h *Head) ordered(s *MemSeries) {
 	h.cat.mu.Unlock()
 }
 
-// inverted takes the catalog lock under a stripe lock.
+// inverted takes the catalog lock under a stripe lock. closureViolation
+// below inverts the same pair; one witness per ordered pair is reported.
 func (h *Head) inverted(st *stripe) {
 	st.mu.Lock()
-	h.cat.mu.Lock() // want "catalog lock .catalog. acquired while the stripe lock"
+	h.cat.mu.Lock() // want `lock order violation in Head.inverted: head.catalog.mu \(level 30\) acquired while head.stripe.mu \(level 40\) is held`
 	h.cat.mu.Unlock()
 	st.mu.Unlock()
 }
@@ -49,7 +51,7 @@ func (h *Head) sequential(st *stripe) {
 func (h *Head) deferredHeld(st *stripe, g *MemGroup) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	st.mu.RLock() // want "stripe lock .stripe. acquired while the series/group object lock"
+	st.mu.RLock() // want `lock order violation in Head.deferredHeld: head.stripe.mu \(level 40\) acquired while head.MemGroup.mu \(level 50\) is held`
 	st.mu.RUnlock()
 }
 
@@ -70,7 +72,7 @@ func (h *Head) closureScoped(st *stripe, s *MemSeries) {
 func (h *Head) closureViolation(st *stripe) func() {
 	return func() {
 		st.mu.Lock()
-		h.cat.mu.Lock() // want "catalog lock .catalog. acquired while the stripe lock"
+		h.cat.mu.Lock() // same stripe → catalog pair as inverted
 		h.cat.mu.Unlock()
 		st.mu.Unlock()
 	}
