@@ -31,6 +31,7 @@ func (db *DB) backgroundLoop() {
 		}
 
 		db.mu.Lock()
+		db.imm[0] = nil // the backing array must not pin the flushed memtable
 		db.imm = db.imm[1:]
 		db.working = false
 		if err != nil && db.bgErr == nil {

@@ -292,6 +292,7 @@ func (l *LSM) compactionWorker(worker int) {
 			return
 		}
 		job := l.jobs[0]
+		l.jobs[0] = nil // the backing array must not pin the job's inputs
 		l.jobs = l.jobs[1:]
 		if l.bgErr != nil || l.closed {
 			// Abandon without running; the tree is poisoned or shutting

@@ -607,6 +607,7 @@ func (l *LSM) flushLoop() {
 
 		l.mu.Lock()
 		if flushErr == nil {
+			l.imm[0] = nil // the backing array must not pin the flushed memtable
 			l.imm = l.imm[1:]
 		}
 		l.working = false

@@ -3,11 +3,14 @@ package lsm
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"timeunion/internal/chunkenc"
 	"timeunion/internal/cloud"
 	"timeunion/internal/encoding"
+	"timeunion/internal/memtable"
 	"timeunion/internal/tuple"
 )
 
@@ -719,4 +722,31 @@ func TestPartitionLengthChangeMidStream(t *testing.T) {
 	if len(got) != 1 || got[0].V != -9 {
 		t.Fatalf("ooo into resized partition = %v", got)
 	}
+}
+
+// TestFlushedMemtableIsReleased: once a memtable is flushed, nothing in the
+// tree may keep it reachable — in particular not the immutable queue's
+// backing array, which outlives the slot the flusher pops.
+func TestFlushedMemtableIsReleased(t *testing.T) {
+	opts := smallOpts()
+	opts.MemTableSize = 1 << 20 // rotate only on Flush
+	env := newEnv(t, opts)
+	putSeries(t, env.l, 1, []chunkenc.Sample{{T: 10, V: 1}, {T: 20, V: 2}})
+
+	released := make(chan struct{})
+	env.l.mu.Lock()
+	runtime.SetFinalizer(env.l.mem, func(*memtable.MemTable) { close(released) })
+	env.l.mu.Unlock()
+	if err := env.l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the flushed memtable is still reachable after 5 GCs")
 }

@@ -163,7 +163,9 @@ func instrumentAPI(api http.Handler, cfg OpsConfig) http.Handler {
 	})
 }
 
-// statusWriter records the response status for the error counter.
+// statusWriter records the response status for the error counter. It does
+// not forward http.Flusher, and nothing behind it needs it: query_stream
+// leaves its lines to net/http's buffering (see NewServer).
 type statusWriter struct {
 	http.ResponseWriter
 	status int

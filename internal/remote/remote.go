@@ -248,14 +248,27 @@ func NewServer(b Backend) http.Handler {
 			httpError(w, err)
 			return
 		}
-		reply(w, QueryResponse{Series: series})
+		// The whole body is encoded before anything is written, so a value
+		// JSON cannot carry (a NaN or ±Inf sample) is a 500, not a 200.
+		buf := getLineBuf()
+		defer putLineBuf(buf)
+		*buf, err = appendQueryBody(*buf, series)
+		if err != nil {
+			httpError(w, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(*buf)
 	})
 	// query_stream is the NDJSON streaming variant: one QuerySeries JSON
-	// object per line, written (and flushed) as each series is evaluated,
-	// so a client can process early series while the backend is still
-	// decoding later ones. Series arrive in the backend's evaluation order,
-	// not sorted by labels. A mid-stream failure — headers are already out
-	// — is reported as a final {"error": "..."} line.
+	// object per line, encoded as each series is evaluated, so a client can
+	// process early series while the backend is still decoding later ones.
+	// The handler does not flush per series: lines reach the client in
+	// net/http's 4 KiB chunks and at the end of the response. Series arrive
+	// in the backend's evaluation order, not sorted by labels. A mid-stream
+	// failure — headers may already be out — is reported as a final
+	// {"error": "..."} line after the last complete series; a series that
+	// fails part-way writes none of its line.
 	mux.HandleFunc("/api/v1/query_stream", func(w http.ResponseWriter, r *http.Request) {
 		var req QueryRequest
 		if !decode(w, r, &req) {
@@ -276,27 +289,24 @@ func NewServer(b Backend) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		flusher, _ := w.(http.Flusher)
+		buf := getLineBuf()
+		defer putLineBuf(buf)
 		for {
-			qs, ok, err := cursor.Next()
-			if err == nil && !ok {
-				return
-			}
-			if err == nil {
-				// A series that cannot be encoded (NaN, ±Inf) writes nothing,
-				// so it ends the stream with an error line like a cursor
-				// failure; if the client went away, that write fails too.
-				err = enc.Encode(qs)
-			}
+			line, ok, err := appendNextLine((*buf)[:0], cursor)
+			*buf = line
 			if err != nil {
-				_ = enc.Encode(struct {
-					Error string `json:"error"`
-				}{Error: err.Error()})
+				// Nothing of the failed series is written: the error line
+				// follows the last complete one. If the client went away,
+				// this write fails too.
+				*buf = appendErrorLine(line[:0], err)
+				_, _ = w.Write(*buf)
 				return
 			}
-			if flusher != nil {
-				flusher.Flush()
+			if !ok {
+				return
+			}
+			if _, err := w.Write(line); err != nil {
+				return // the client went away
 			}
 		}
 	})
@@ -319,6 +329,26 @@ func queryCursor(ctx context.Context, b Backend, mint, maxt int64, ms []*labels.
 		return nil, err
 	}
 	return &sliceCursor{series: series}, nil
+}
+
+// appendNextLine appends the cursor's next series and a newline to dst,
+// straight from the engine's iterator when the cursor can, otherwise by
+// encoding the QuerySeries its Next returns.
+func appendNextLine(dst []byte, cursor SeriesCursor) ([]byte, bool, error) {
+	var ok bool
+	var err error
+	if a, direct := cursor.(lineAppender); direct {
+		dst, ok, err = a.appendNext(dst)
+	} else {
+		var qs QuerySeries
+		if qs, ok, err = cursor.Next(); ok && err == nil {
+			dst, err = appendQuerySeries(dst, qs)
+		}
+	}
+	if err != nil || !ok {
+		return dst, false, err
+	}
+	return append(dst, '\n'), true, nil
 }
 
 type sliceCursor struct{ series []QuerySeries }
@@ -344,8 +374,8 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// reply encodes v before writing anything, so a value encoding/json
-// refuses (a NaN or ±Inf sample) is a 500, not an empty 200.
+// reply answers a write endpoint. It encodes v before writing anything, so
+// an encoding failure is a 500, not an empty 200.
 func reply(w http.ResponseWriter, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
@@ -410,6 +440,17 @@ func (b *TimeUnionBackend) QueryStream(ctx context.Context, mint, maxt int64, ms
 
 type seriesSetCursor struct{ set core.SeriesSet }
 
+// lineAppender is implemented by cursors that can write their next series
+// straight into the response's line buffer. The query_stream handler
+// prefers it to Next, which builds a QuerySeries only to encode it.
+type lineAppender interface {
+	// appendNext appends the next series' JSON object to dst. It reports
+	// false on exhaustion; on error, dst may hold part of the series.
+	appendNext(dst []byte) ([]byte, bool, error)
+}
+
+// Next builds the series as a QuerySeries, for callers that wrap the
+// cursor; the query_stream handler itself uses appendNext.
 func (c *seriesSetCursor) Next() (QuerySeries, bool, error) {
 	if !c.set.Next() {
 		return QuerySeries{}, false, c.set.Err()
@@ -427,6 +468,15 @@ func (c *seriesSetCursor) Next() (QuerySeries, bool, error) {
 		return QuerySeries{}, false, err
 	}
 	return qs, true, nil
+}
+
+func (c *seriesSetCursor) appendNext(dst []byte) ([]byte, bool, error) {
+	if !c.set.Next() {
+		return dst, false, c.set.Err()
+	}
+	e := c.set.At()
+	dst, err := appendEntry(dst, e.Labels, e.Iterator)
+	return dst, err == nil, err
 }
 
 // QueryContext implements ContextBackend, forwarding cancellation and any

@@ -237,6 +237,42 @@ func TestNonFiniteSampleIsAnError(t *testing.T) {
 			t.Fatalf("%v: Query error = %v, want a 500", v, err)
 		}
 	}
+
+	// Mid-series: the NaN is the second sample of the second series. The
+	// stream carries the first series whole, then the error line, and no
+	// part of the second series; the materializing endpoint writes no body
+	// before its 500.
+	client, db := newTUServer(t)
+	for i, vals := range [][]float64{{1, 2}, {3, math.NaN()}, {5, 6}} {
+		for j, x := range vals {
+			if _, err := db.Append(labels.FromStrings("metric", "cpu", "host", fmt.Sprintf("h%d", i)), int64(10*(j+1)), x); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	body, _ := json.Marshal(QueryRequest{MinT: 0, MaxT: 100, Matchers: []MatcherSpec{{Type: "=", Name: "metric", Value: "cpu"}}})
+	post := func(path string) (int, string) {
+		resp, err := http.Post(client.BaseURL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(raw)
+	}
+	status, raw := post("/api/v1/query_stream")
+	want := `{"labels":{"host":"h0","metric":"cpu"},"samples":[{"t":10,"v":1},{"t":20,"v":2}]}` + "\n" +
+		`{"error":"json: unsupported value: NaN"}` + "\n"
+	if status != http.StatusOK || raw != want {
+		t.Fatalf("query_stream = %d %q, want 200 %q", status, raw, want)
+	}
+	status, raw = post("/api/v1/query")
+	if want := "json: unsupported value: NaN\n"; status != http.StatusInternalServerError || raw != want {
+		t.Fatalf("query = %d %q, want 500 %q", status, raw, want)
+	}
 }
 
 func TestRegexMatcherOverHTTP(t *testing.T) {
