@@ -418,6 +418,33 @@ func (db *DB) AppendGroupFast(gid uint64, slots []int, t int64, vals []float64) 
 	return db.head.AppendGroupFast(gid, slots, t, vals)
 }
 
+// Batch is one write request's samples: individual-series samples by ID
+// and group rounds by group ID and member slots. See AppendBatch.
+type Batch = head.Batch
+
+// AppendBatch applies a batch of fast-path samples all or nothing: every
+// series and group ID, slot and values row is validated before anything is
+// applied, and the whole batch is logged as one WAL record that is written
+// before AppendBatch returns (DESIGN.md §4.6). An error after validation
+// leaves the items applied before it in the head and in the log.
+func (db *DB) AppendBatch(b *Batch) error {
+	if db.replica {
+		return ErrReadOnly
+	}
+	start := time.Now()
+	applied, err := db.head.AppendBatch(b)
+	if applied {
+		db.maxT.observe(b.MaxT())
+	}
+	if m := db.m; m != nil {
+		if applied {
+			m.appends.Add(uint64(b.MaxT()), uint64(b.Len()))
+		}
+		m.appendLat.Observe(time.Since(start))
+	}
+	return err
+}
+
 // Flush pushes all buffered data (open chunks and memtables) down to the
 // chunk store and waits for triggered compactions, then republishes the
 // series catalog if it changed — the manifest commit inside the store

@@ -45,7 +45,7 @@ func newDBMetrics(reg *obs.Registry) *dbMetrics {
 		return nil
 	}
 	m := &dbMetrics{
-		appendLat:     reg.Histogram("timeunion_db_append_seconds", "", "Sampled append latency (1 in 64 appends per shard)."),
+		appendLat:     reg.Histogram("timeunion_db_append_seconds", "", "Append latency: every AppendBatch call once, plus 1 in 64 single-sample appends per shard."),
 		queries:       reg.Counter("timeunion_db_queries_total", "", "Queries evaluated."),
 		queryErrs:     reg.Counter("timeunion_db_query_errors_total", "", "Queries that returned an error."),
 		queryLat:      reg.Histogram("timeunion_db_query_seconds", "", "End-to-end query latency."),
@@ -54,7 +54,7 @@ func newDBMetrics(reg *obs.Registry) *dbMetrics {
 		catalogPruned: reg.Counter("timeunion_db_catalog_pruned_total", "", "Stale catalog versions deleted by the writer after publishing."),
 		recovery:      reg.Gauge("timeunion_db_recovery_duration_ms", "", "Duration of the last WAL recovery in milliseconds."),
 	}
-	reg.CounterFunc("timeunion_db_appends_total", "", "Samples appended (all four append APIs).",
+	reg.CounterFunc("timeunion_db_appends_total", "", "Samples appended: every single-sample append, and every sample of each batch that passed validation.",
 		func() float64 { return float64(m.appends.Value()) })
 	return m
 }

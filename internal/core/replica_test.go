@@ -61,6 +61,11 @@ func TestReplicaErrReadOnlyMatrix(t *testing.T) {
 			return err
 		}},
 		{"AppendGroupFast", func() error { return rep.AppendGroupFast(1, []int{0}, 20, []float64{1}) }},
+		{"AppendBatch", func() error {
+			b := &Batch{}
+			b.Add(1, 20, 1)
+			return rep.AppendBatch(b)
+		}},
 		{"Flush", func() error { return rep.Flush() }},
 		{"Sync", func() error { return rep.Sync() }},
 		{"ApplyRetention", func() error { _, _, err := rep.ApplyRetention(1 << 40); return err }},

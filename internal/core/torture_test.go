@@ -24,6 +24,12 @@ import (
 // with its exact value, and no sample ever comes back with a value that was
 // never appended.
 //
+// A second random stream, seeded from the schedule's, routes part of the
+// fast-path-eligible appends through AppendBatch without changing the
+// schedule itself. Every batched sample that was acknowledged and synced
+// must come back exactly once, and a batch made invalid by its last item
+// must leave no sample behind.
+//
 // Knobs: TORTURE_SCHEDULES (number of randomized schedules, default 8) and
 // TORTURE_SEED (base seed, default fixed) let CI pin a reproduction.
 
@@ -35,6 +41,7 @@ type stream struct {
 	durable map[int64]float64 // must survive any crash
 	acked   map[int64]float64 // acknowledged, not yet synced
 	maybe   map[int64]float64 // may or may not survive; value is binding
+	batched map[int64]bool    // written through AppendBatch
 }
 
 func newStream() *stream {
@@ -42,6 +49,7 @@ func newStream() *stream {
 		durable: map[int64]float64{},
 		acked:   map[int64]float64{},
 		maybe:   map[int64]float64{},
+		batched: map[int64]bool{},
 	}
 }
 
@@ -184,9 +192,54 @@ func runTortureSchedule(t *testing.T, seed int64) {
 		}
 	}
 
+	// The batch path: brng decides which appends are batched, so rng's
+	// schedule is the same with or without it. IDs are learned from the
+	// slow-path calls and forgotten at every crash, since a lost catalog
+	// tail can hand a forgotten ID to another series.
 	db, fast, slow := open()
-	syncSnap := walSizes(t, walDir)
 	nextT := int64(1)
+	brng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	seriesIDs := map[int]uint64{}
+	var gid uint64
+	var gslots []int
+	type batched struct {
+		s *stream
+		t int64
+		v float64
+	}
+	var batch Batch
+	var inBatch []batched
+	flushBatch := func() {
+		if len(inBatch) == 0 {
+			return
+		}
+		invalid := brng.Float64() < 0.1
+		if invalid {
+			batch.Add(1<<40, nextT, 0) // an unknown series, last
+		}
+		err := db.AppendBatch(&batch)
+		for _, b := range inBatch {
+			switch {
+			case invalid:
+				if err == nil {
+					t.Fatal("batch with an unknown series ID accepted")
+				}
+				// Rejected whole: the samples were never appended.
+			case err != nil:
+				b.s.maybe[b.t] = b.v
+			default:
+				b.s.acked[b.t] = b.v
+				b.s.batched[b.t] = true
+			}
+		}
+		if debug {
+			t.Logf("batch of %d invalid=%v err=%v", len(inBatch), invalid, err)
+		}
+		batch.Reset()
+		inBatch = inBatch[:0]
+	}
+
+	syncSnap := walSizes(t, walDir)
 
 	crashes := 2 + rng.Intn(3)
 	for inc := 0; ; inc++ {
@@ -198,11 +251,20 @@ func runTortureSchedule(t *testing.T, seed int64) {
 				ts := nextT
 				nextT++
 				v := seriesVal(idx, ts)
+				if id, ok := seriesIDs[idx]; ok && brng.Float64() < 0.4 {
+					batch.Add(id, ts, v)
+					inBatch = append(inBatch, batched{series[idx], ts, v})
+					if len(inBatch) >= 1+brng.Intn(8) {
+						flushBatch()
+					}
+					break
+				}
 				lbls := labels.FromStrings("m", fmt.Sprintf("s%d", idx))
-				if _, err := db.Append(lbls, ts, v); err != nil {
+				if id, err := db.Append(lbls, ts, v); err != nil {
 					series[idx].maybe[ts] = v
 				} else {
 					series[idx].acked[ts] = v
+					seriesIDs[idx] = id
 				}
 				if debug {
 					t.Logf("append s%d t=%d", idx, ts)
@@ -214,7 +276,14 @@ func runTortureSchedule(t *testing.T, seed int64) {
 				for i := range vals {
 					vals[i] = groupVal(i, ts)
 				}
-				if _, _, err := db.AppendGroup(groupTags, uniqueTags, ts, vals); err != nil {
+				if gid != 0 && brng.Float64() < 0.4 {
+					batch.AddGroup(gid, gslots, ts, vals)
+					for i, m := range members {
+						inBatch = append(inBatch, batched{m, ts, vals[i]})
+					}
+					break
+				}
+				if g, slots, err := db.AppendGroup(groupTags, uniqueTags, ts, vals); err != nil {
 					for i, m := range members {
 						m.maybe[ts] = vals[i]
 					}
@@ -222,18 +291,22 @@ func runTortureSchedule(t *testing.T, seed int64) {
 					for i, m := range members {
 						m.acked[ts] = vals[i]
 					}
+					gid, gslots = g, slots
 				}
 			case r < 0.91:
+				flushBatch()
 				err := db.Flush() // may fail under faults; data stays in the WAL
 				if debug {
 					t.Logf("flush err=%v", err)
 				}
 			case r < 0.95:
+				flushBatch()
 				n, err := db.PurgeWAL()
 				if debug {
 					t.Logf("purge n=%d err=%v", n, err)
 				}
 			default:
+				flushBatch()
 				if err := db.Sync(); err == nil {
 					promoteAll()
 					syncSnap = walSizes(t, walDir)
@@ -243,6 +316,7 @@ func runTortureSchedule(t *testing.T, seed int64) {
 				}
 			}
 		}
+		flushBatch()
 		if inc == crashes {
 			break
 		}
@@ -256,6 +330,8 @@ func runTortureSchedule(t *testing.T, seed int64) {
 		_ = db.wal.CrashClose()
 		_ = db.head.Close()
 		demoteAll()
+		clear(seriesIDs)
+		gid, gslots = 0, nil
 		if debug {
 			t.Logf("crash inc=%d sizes=%v snap=%v", inc, walSizes(t, walDir), syncSnap)
 		}
@@ -405,6 +481,8 @@ func checkStream(t *testing.T, db *DB, name string, s *stream, matchers ...*labe
 		for _, p := range res[0].Samples {
 			if prev, ok := got[p.T]; ok && prev != p.V {
 				t.Fatalf("%s: t=%d returned twice with different values %v and %v", name, p.T, prev, p.V)
+			} else if ok && s.batched[p.T] {
+				t.Fatalf("%s: batched sample t=%d returned twice", name, p.T)
 			}
 			got[p.T] = p.V
 			want, ok := s.expected(p.T)

@@ -72,7 +72,7 @@ func (h *Head) AppendGroup(groupTags labels.Labels, uniqueTags []labels.Labels, 
 		}
 		slots[i] = slot
 	}
-	if err := h.appendGroupLocked(g, t, slots, vals); err != nil {
+	if err := h.appendGroupLocked(g, t, slots, vals, false); err != nil {
 		return 0, nil, err
 	}
 	return g.GID, slots, nil
@@ -95,7 +95,7 @@ func (h *Head) AppendGroupFast(gid uint64, slots []int, t int64, vals []float64)
 			return fmt.Errorf("head: group %d: slot %d out of range", gid, s)
 		}
 	}
-	return h.appendGroupLocked(g, t, slots, vals)
+	return h.appendGroupLocked(g, t, slots, vals, false)
 }
 
 // lookupGroup resolves a group id through its stripe.
@@ -172,15 +172,22 @@ func (h *Head) getOrCreateMemberLocked(g *MemGroup, unique labels.Labels) (int, 
 	return slot, nil
 }
 
-// appendGroupLocked logs and ingests one round. The caller holds g.mu.
-func (h *Head) appendGroupLocked(g *MemGroup, t int64, slots []int, vals []float64) error {
+// appendGroupLocked logs (or, when staged, stages in the pending WAL
+// batch) and ingests one round. The caller holds g.mu.
+func (h *Head) appendGroupLocked(g *MemGroup, t int64, slots []int, vals []float64, staged bool) error {
 	g.seq++
-	if h.opts.WAL != nil {
+	if w := h.opts.WAL; w != nil {
 		s32 := make([]uint32, len(slots))
 		for i, s := range slots {
 			s32[i] = uint32(s)
 		}
-		if err := h.opts.WAL.LogGroupSample(g.GID, g.seq, t, s32, vals); err != nil {
+		var err error
+		if staged {
+			err = w.StageGroupSample(g.GID, g.seq, t, s32, vals)
+		} else {
+			err = w.LogGroupSample(g.GID, g.seq, t, s32, vals)
+		}
+		if err != nil {
 			return err
 		}
 	}

@@ -272,7 +272,7 @@ func (h *Head) Append(ls labels.Labels, t int64, v float64) (uint64, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ID, h.appendLocked(s, t, v)
+	return s.ID, h.appendLocked(s, t, v, false)
 }
 
 // AppendFast inserts one sample by series ID (the fast-path API of §3.4,
@@ -284,7 +284,7 @@ func (h *Head) AppendFast(id uint64, t int64, v float64) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return h.appendLocked(s, t, v)
+	return h.appendLocked(s, t, v, false)
 }
 
 // lookupSeries resolves a series id through its stripe.
@@ -337,12 +337,20 @@ func (h *Head) getOrCreateSeries(ls labels.Labels) (*MemSeries, error) {
 	return s, nil
 }
 
-// appendLocked is the individual-series write path (§3.1 physical view).
-// The caller holds s.mu.
-func (h *Head) appendLocked(s *MemSeries, t int64, v float64) error {
+// appendLocked is the individual-series write path (§3.1 physical view):
+// the sample is logged as its own WAL record, or staged in the pending
+// batch when staged is set. The caller holds s.mu, so per series WAL order
+// equals sequence order.
+func (h *Head) appendLocked(s *MemSeries, t int64, v float64, staged bool) error {
 	s.seq++
-	if h.opts.WAL != nil {
-		if err := h.opts.WAL.LogSample(s.ID, s.seq, t, v); err != nil {
+	if w := h.opts.WAL; w != nil {
+		var err error
+		if staged {
+			err = w.StageSample(s.ID, s.seq, t, v)
+		} else {
+			err = w.LogSample(s.ID, s.seq, t, v)
+		}
+		if err != nil {
 			return err
 		}
 	}

@@ -87,6 +87,14 @@ func TestReplicaMutationsForbiddenOverHTTP(t *testing.T) {
 			})
 			return err
 		}},
+		{"write_group by gid", func() error {
+			_, err := client.WriteGroup(GroupWriteRequest{
+				GID: 1<<63 | 1, Slots: []int{0},
+				Times:  []int64{1},
+				Values: [][]float64{{1}},
+			})
+			return err
+		}},
 	}
 	for _, m := range mutations {
 		err := m.call()

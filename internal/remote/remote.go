@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -128,6 +129,27 @@ type Backend interface {
 	Query(mint, maxt int64, matchers ...*labels.Matcher) ([]QuerySeries, error)
 }
 
+// BatchBackend is optionally implemented by backends that apply a whole
+// fast-path write request as one batch: validated in full before anything
+// is applied, and logged as one WAL record before the response is sent.
+// Backends without it are served one AppendFast/AppendGroupFast call per
+// sample or round.
+type BatchBackend interface {
+	AppendBatch(*core.Batch) error
+}
+
+var batchPool = sync.Pool{New: func() any { return new(core.Batch) }}
+
+// appendBatch fills a pooled batch, applies it and recycles it.
+func appendBatch(bb BatchBackend, fill func(*core.Batch)) error {
+	batch := batchPool.Get().(*core.Batch)
+	fill(batch)
+	err := bb.AppendBatch(batch)
+	batch.Reset()
+	batchPool.Put(batch)
+	return err
+}
+
 // ContextBackend is optionally implemented by backends whose queries accept
 // a context — the server then forwards the request context, which carries
 // cancellation and any obs.Trace a middleware attached.
@@ -178,6 +200,21 @@ func NewServer(b Backend) http.Handler {
 		if !decode(w, r, &req) {
 			return
 		}
+		if bb, ok := b.(BatchBackend); ok {
+			err := appendBatch(bb, func(batch *core.Batch) {
+				for _, e := range req.Entries {
+					for _, s := range e.Samples {
+						batch.Add(e.ID, s.T, s.V)
+					}
+				}
+			})
+			if err != nil {
+				httpError(w, err)
+				return
+			}
+			reply(w, struct{}{})
+			return
+		}
 		for _, e := range req.Entries {
 			for _, s := range e.Samples {
 				if err := b.AppendFast(e.ID, s.T, s.V); err != nil {
@@ -198,7 +235,18 @@ func NewServer(b Backend) http.Handler {
 			return
 		}
 		var resp GroupWriteResponse
-		if req.GID != 0 {
+		if bb, ok := b.(BatchBackend); ok && req.GID != 0 {
+			resp.GID, resp.Slots = req.GID, req.Slots
+			err := appendBatch(bb, func(batch *core.Batch) {
+				for i, t := range req.Times {
+					batch.AddGroup(req.GID, req.Slots, t, req.Values[i])
+				}
+			})
+			if err != nil {
+				httpError(w, err)
+				return
+			}
+		} else if req.GID != 0 {
 			resp.GID, resp.Slots = req.GID, req.Slots
 			for i, t := range req.Times {
 				if err := b.AppendGroupFast(req.GID, req.Slots, t, req.Values[i]); err != nil {
@@ -420,6 +468,11 @@ func (b *TimeUnionBackend) AppendGroup(g labels.Labels, u []labels.Labels, t int
 // AppendGroupFast implements Backend.
 func (b *TimeUnionBackend) AppendGroupFast(gid uint64, slots []int, t int64, vals []float64) error {
 	return b.DB.AppendGroupFast(gid, slots, t, vals)
+}
+
+// AppendBatch implements BatchBackend.
+func (b *TimeUnionBackend) AppendBatch(batch *core.Batch) error {
+	return b.DB.AppendBatch(batch)
 }
 
 // Query implements Backend.

@@ -15,6 +15,11 @@
 //   - samples and flush marks live in size-bounded segments
 //     (000001.wal, 000002.wal, ...) that purge drops wholesale.
 //
+// A segment record carries either one entry (a sample, a group round or a
+// flush mark, written by the single-sample Log* calls) or a batch of them:
+// StageSample/StageGroupSample collect one write request's entries in a
+// pending buffer and Commit writes them as one record (DESIGN.md §4.6).
+//
 // Purge is conservative: a segment is removed only when every sample record
 // in it is at or below its series' flushed sequence. Flush marks from
 // dropped segments are preserved in a checkpoint file, so recovery never
@@ -48,7 +53,13 @@ const (
 	recSample      = byte(4) // id, seq, t, v
 	recGroupSample = byte(5) // gid, seq, t, [slot, v]...
 	recFlushMark   = byte(6) // id, seq
+	recBatch       = byte(7) // entries: recSample/recGroupSample/recFlushMark payloads back to back
 )
+
+// maxPendingBytes bounds the pending batch: a batch that grows past it is
+// committed early. That is safe because its entries are already applied
+// to the head; the batch's caller still commits the rest.
+const maxPendingBytes = 1 << 20
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -79,6 +90,16 @@ type WAL struct {
 	seg     *os.File
 	segIdx  int
 	segSize int
+
+	// pending holds staged batch entries behind a recBatch type byte
+	// (empty when nothing is staged); pendingN counts them. Commit writes
+	// pending as one record.
+	pending  encoding.Buf
+	pendingN int
+	// failed is the first batch write error. The entries it lost are
+	// already applied and may belong to several callers, so every later
+	// write returns it rather than acknowledge what the log cannot hold.
+	failed error
 
 	// purgeMu serializes Purge calls so two purges cannot interleave
 	// their checkpoint writes and segment removals.
@@ -159,7 +180,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 	if reg := opts.Metrics; reg != nil {
 		w.mFsync = reg.Histogram("timeunion_wal_fsync_seconds", "", "Latency of WAL fsync calls (catalog + active segment).")
 		w.mRolls = reg.Counter("timeunion_wal_segment_rolls_total", "", "Sample segments closed after reaching the size bound.")
-		w.mRecords = reg.Counter("timeunion_wal_records_total", "", "Sample/flush-mark records appended to segments.")
+		w.mRecords = reg.Counter("timeunion_wal_records_total", "", "Sample, group-round and flush-mark entries appended to segments; a batch record counts each of its entries.")
 		w.mPurged = reg.Counter("timeunion_wal_purged_segments_total", "", "Obsolete segments removed by Purge.")
 		reg.GaugeFunc("timeunion_wal_size_bytes", "", "On-disk WAL volume (catalog + segments + checkpoint).",
 			func() float64 { return float64(w.SizeBytes()) })
@@ -233,19 +254,110 @@ func appendRecord(f *os.File, payload []byte) (int, error) {
 	return hdr.Len() + len(payload), nil
 }
 
+// writeSample writes one single-entry record. A pending batch is committed
+// first, so file order always equals call order.
 func (w *WAL) writeSample(payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if err := w.commitLocked(); err != nil {
+		return err
+	}
+	return w.appendLocked(payload, 1)
+}
+
+// appendLocked writes one framed record holding entries entries and rolls
+// the segment once it reaches its size bound. The caller holds w.mu.
+func (w *WAL) appendLocked(payload []byte, entries int) error {
 	n, err := appendRecord(w.seg, payload)
 	if err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	w.mRecords.Inc()
+	w.mRecords.Add(uint64(entries))
 	w.segSize += n
 	if w.segSize >= w.segmentSize {
 		return w.rollLocked()
 	}
 	return nil
+}
+
+// pendingLocked opens the pending batch if needed and returns it for the
+// caller to append one entry to. The caller holds w.mu.
+func (w *WAL) pendingLocked() (*encoding.Buf, error) {
+	if w.failed != nil {
+		return nil, w.failed
+	}
+	if w.pendingN == 0 {
+		w.pending.Reset()
+		w.pending.PutByte(recBatch)
+	}
+	w.pendingN++
+	return &w.pending, nil
+}
+
+// commitIfFullLocked commits the pending batch early once it passes
+// maxPendingBytes. The caller holds w.mu.
+func (w *WAL) commitIfFullLocked() error {
+	if w.pending.Len() < maxPendingBytes {
+		return nil
+	}
+	return w.commitLocked()
+}
+
+// commitLocked writes the pending batch, if any, as one record. The caller
+// holds w.mu.
+func (w *WAL) commitLocked() error {
+	if w.failed != nil {
+		return w.failed
+	}
+	if w.pendingN == 0 {
+		return nil
+	}
+	n := w.pendingN
+	w.pendingN = 0
+	if err := w.appendLocked(w.pending.Get(), n); err != nil {
+		w.failed = err
+		return err
+	}
+	return nil
+}
+
+// StageSample adds one sample of an individual series to the pending
+// batch. It is not in the log until Commit (or a later single-entry
+// write, Sync or Close) returns.
+func (w *WAL) StageSample(id, seq uint64, t int64, v float64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	b, err := w.pendingLocked()
+	if err != nil {
+		return err
+	}
+	putSample(b, id, seq, t, v)
+	return w.commitIfFullLocked()
+}
+
+// StageGroupSample adds one group insertion round to the pending batch;
+// see StageSample.
+func (w *WAL) StageGroupSample(gid, seq uint64, t int64, slots []uint32, vals []float64) error {
+	if len(slots) != len(vals) {
+		return fmt.Errorf("wal: group sample slots/vals mismatch: %d vs %d", len(slots), len(vals))
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	b, err := w.pendingLocked()
+	if err != nil {
+		return err
+	}
+	putGroupSample(b, gid, seq, t, slots, vals)
+	return w.commitIfFullLocked()
+}
+
+// Commit writes the pending batch as one record. Staged entries are
+// acknowledged only after Commit returns nil; it commits every caller's
+// staged entries, not only the caller's own.
+func (w *WAL) Commit() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.commitLocked()
 }
 
 // rollLocked closes the full active segment and opens its replacement,
@@ -313,12 +425,16 @@ func (w *WAL) LogGroupMember(gid uint64, slot uint32, unique labels.Labels) erro
 // LogSample records one sample of an individual series.
 func (w *WAL) LogSample(id, seq uint64, t int64, v float64) error {
 	var b encoding.Buf
+	putSample(&b, id, seq, t, v)
+	return w.writeSample(b.Get())
+}
+
+func putSample(b *encoding.Buf, id, seq uint64, t int64, v float64) {
 	b.PutByte(recSample)
 	b.PutUvarint(id)
 	b.PutUvarint(seq)
 	b.PutVarint(t)
 	b.PutBE64(math.Float64bits(v))
-	return w.writeSample(b.Get())
 }
 
 // LogGroupSample records one shared-timestamp insertion round of a group.
@@ -327,6 +443,11 @@ func (w *WAL) LogGroupSample(gid, seq uint64, t int64, slots []uint32, vals []fl
 		return fmt.Errorf("wal: group sample slots/vals mismatch: %d vs %d", len(slots), len(vals))
 	}
 	var b encoding.Buf
+	putGroupSample(&b, gid, seq, t, slots, vals)
+	return w.writeSample(b.Get())
+}
+
+func putGroupSample(b *encoding.Buf, gid, seq uint64, t int64, slots []uint32, vals []float64) {
 	b.PutByte(recGroupSample)
 	b.PutUvarint(gid)
 	b.PutUvarint(seq)
@@ -336,7 +457,6 @@ func (w *WAL) LogGroupSample(gid, seq uint64, t int64, slots []uint32, vals []fl
 		b.PutUvarint(uint64(s))
 		b.PutBE64(math.Float64bits(vals[i]))
 	}
-	return w.writeSample(b.Get())
 }
 
 // LogFlushMark records that all samples of id with sequence <= seq are
@@ -357,10 +477,14 @@ func (w *WAL) LogFlushMark(id, seq uint64) error {
 	return nil
 }
 
-// Sync flushes the catalog and the active segment to disk.
+// Sync commits the pending batch and flushes the catalog and the active
+// segment to disk.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if err := w.commitLocked(); err != nil {
+		return err
+	}
 	start := time.Now()
 	if err := w.catalog.Sync(); err != nil {
 		return fmt.Errorf("wal: sync catalog: %w", err)
@@ -372,7 +496,7 @@ func (w *WAL) Sync() error {
 	return nil
 }
 
-// Close syncs and closes all files.
+// Close commits, syncs and closes all files.
 func (w *WAL) Close() error {
 	if err := w.Sync(); err != nil {
 		return err
@@ -385,12 +509,14 @@ func (w *WAL) Close() error {
 	return w.seg.Close()
 }
 
-// CrashClose closes the file handles WITHOUT syncing, so buffered state is
-// abandoned exactly as a process crash would abandon it. It exists for
-// crash-recovery tests; the WAL must not be used afterwards.
+// CrashClose closes the file handles WITHOUT syncing and drops the pending
+// batch, so buffered state is abandoned exactly as a process crash would
+// abandon it. It exists for crash-recovery tests; the WAL must not be used
+// afterwards.
 func (w *WAL) CrashClose() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.pendingN = 0
 	cerr := w.catalog.Close()
 	serr := w.seg.Close()
 	if cerr != nil {
@@ -541,22 +667,13 @@ func (w *WAL) Purge() (dropped int, err error) {
 	return dropped, nil
 }
 
-// segmentObsolete reports whether every sample record in the segment is at
+// segmentObsolete reports whether every sample entry in the segment is at
 // or below its series' flushed sequence.
 func segmentObsolete(path string, flushed map[uint64]uint64) (bool, error) {
 	obsolete := true
-	err := scanRecords(path, func(payload []byte) error {
-		d := encoding.NewDecbuf(payload)
-		switch d.Byte() {
-		case recSample, recGroupSample:
-			id := d.Uvarint()
-			seq := d.Uvarint()
-			if d.Err() != nil {
-				return d.Err()
-			}
-			if seq > flushed[id] {
-				obsolete = false
-			}
+	err := scanEntries(path, false, func(e *entry) error {
+		if e.typ != recFlushMark && e.seq > flushed[e.id] {
+			obsolete = false
 		}
 		return nil
 	})
@@ -564,6 +681,70 @@ func segmentObsolete(path string, flushed map[uint64]uint64) (bool, error) {
 		return false, err
 	}
 	return obsolete, nil
+}
+
+// entry is one decoded segment entry. id is the series ID or, for a group
+// round, the group ID; slots and vals are set for group rounds only.
+type entry struct {
+	typ   byte
+	id    uint64
+	seq   uint64
+	t     int64
+	v     float64
+	slots []uint32
+	vals  []float64
+}
+
+// scanEntries calls fn for every entry of every record in a segment, in
+// file order; a record is a single entry or a recBatch of entries. A
+// batch's entries are decoded in full, since a batch can only be walked
+// that way. A single-entry record is decoded past its id and seq only when
+// full is set, which only replay needs. The entry passed to fn, slots and
+// vals included, is reused from one call to the next.
+func scanEntries(path string, full bool, fn func(*entry) error) error {
+	var e entry
+	return scanRecords(path, func(payload []byte) error {
+		d := encoding.NewDecbuf(payload)
+		typ := d.Byte()
+		batch := typ == recBatch
+		for {
+			if batch {
+				if d.Len() == 0 {
+					return d.Err()
+				}
+				typ = d.Byte()
+			}
+			e.typ = typ
+			e.id = d.Uvarint()
+			e.seq = d.Uvarint()
+			switch {
+			case typ == recFlushMark:
+			case !batch && !full:
+			case typ == recSample:
+				e.t = d.Varint()
+				e.v = math.Float64frombits(d.BE64())
+			case typ == recGroupSample:
+				e.t = d.Varint()
+				n := d.Uvarint()
+				e.slots, e.vals = e.slots[:0], e.vals[:0]
+				for i := uint64(0); i < n && d.Err() == nil; i++ {
+					e.slots = append(e.slots, uint32(d.Uvarint()))
+					e.vals = append(e.vals, math.Float64frombits(d.BE64()))
+				}
+			default:
+				return fmt.Errorf("wal: unknown segment entry type %d", typ)
+			}
+			if err := d.Err(); err != nil {
+				return err
+			}
+			if err := fn(&e); err != nil {
+				return err
+			}
+			if !batch {
+				return nil
+			}
+		}
+	})
 }
 
 // scanRecords reads a record-framed file, stopping cleanly at a truncated
@@ -758,14 +939,9 @@ func (w *WAL) Recover(h Handler) error {
 	}
 	w.mu.Unlock()
 	for _, idx := range segs {
-		err := scanRecords(w.segPath(idx), func(p []byte) error {
-			d := encoding.NewDecbuf(p)
-			if d.Byte() == recFlushMark {
-				id := d.Uvarint()
-				seq := d.Uvarint()
-				if d.Err() == nil && seq > flushed[id] {
-					flushed[id] = seq
-				}
+		err := scanEntries(w.segPath(idx), false, func(e *entry) error {
+			if e.typ == recFlushMark && e.seq > flushed[e.id] {
+				flushed[e.id] = e.seq
 			}
 			return nil
 		})
@@ -783,38 +959,21 @@ func (w *WAL) Recover(h Handler) error {
 
 	// Pass 2: replay unflushed samples in order.
 	for _, idx := range segs {
-		err := scanRecords(w.segPath(idx), func(p []byte) error {
-			d := encoding.NewDecbuf(p)
-			switch d.Byte() {
-			case recSample:
-				id := d.Uvarint()
-				seq := d.Uvarint()
-				t := d.Varint()
-				v := math.Float64frombits(d.BE64())
-				if d.Err() != nil {
-					return d.Err()
-				}
-				if seq <= flushed[id] || h.Sample == nil {
-					return nil
-				}
-				return h.Sample(SampleRec{ID: id, Seq: seq, T: t, V: v})
-			case recGroupSample:
-				gid := d.Uvarint()
-				seq := d.Uvarint()
-				t := d.Varint()
-				n := d.Uvarint()
-				rec := GroupSampleRec{GID: gid, Seq: seq, T: t}
-				for i := uint64(0); i < n; i++ {
-					rec.Slots = append(rec.Slots, uint32(d.Uvarint()))
-					rec.Vals = append(rec.Vals, math.Float64frombits(d.BE64()))
-				}
-				if d.Err() != nil {
-					return d.Err()
-				}
-				if seq <= flushed[gid] || h.GroupSample == nil {
-					return nil
-				}
-				return h.GroupSample(rec)
+		err := scanEntries(w.segPath(idx), true, func(e *entry) error {
+			if e.typ == recFlushMark || e.seq <= flushed[e.id] {
+				return nil
+			}
+			switch {
+			case e.typ == recSample && h.Sample != nil:
+				return h.Sample(SampleRec{ID: e.id, Seq: e.seq, T: e.t, V: e.v})
+			case e.typ == recGroupSample && h.GroupSample != nil:
+				return h.GroupSample(GroupSampleRec{
+					GID:   e.id,
+					Seq:   e.seq,
+					T:     e.t,
+					Slots: append([]uint32(nil), e.slots...),
+					Vals:  append([]float64(nil), e.vals...),
+				})
 			}
 			return nil
 		})

@@ -43,6 +43,10 @@ type Options = core.Options
 // Series is one query result: a full tag set and its samples.
 type Series = core.Series
 
+// Batch is one all-or-nothing write for (*DB).AppendBatch: fast-path
+// samples by series ID and group rounds by group ID and member slots.
+type Batch = core.Batch
+
 // Stats is a point-in-time resource usage snapshot.
 type Stats = core.Stats
 
