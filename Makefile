@@ -44,10 +44,11 @@ tier1-replica:
 # path (index and matchers) under the race detector, the pooling contract
 # under the race detector with buffer poisoning and cache integrity checks
 # on, and bounded fuzz passes over the merge iterator, batch-vs-streaming
-# decode, index.Select against its oracle, the end-to-end query comparison
-# and the query encoder against encoding/json. The allocation pins
-# (TestQuerySeriesSetAllocs, TestQueryStreamAllocs, DESIGN.md §4.10) run in
-# plain `go test ./...`.
+# decode, index.Select against its oracle, the end-to-end query comparison,
+# the query encoder against encoding/json, and the fast-path write decoders
+# against encoding/json. The allocation pins (TestQuerySeriesSetAllocs,
+# TestQueryStreamAllocs, TestWriteFastAllocs, TestWriteGroupAllocs,
+# DESIGN.md §4.10) run in plain `go test ./...`.
 tier1-iter:
 	$(GO) test -race -count=1 ./internal/chunkenc ./internal/lsm ./internal/index ./internal/labels
 	$(GO) test -race -count=1 ./internal/core -run 'TestStreaming|TestNarrowRange|TestConcurrentSeriesSetNoBleed|TestReleasedIteratorPoisonInvisible'
@@ -57,6 +58,8 @@ tier1-iter:
 	$(GO) test -count=1 ./internal/index -run '^$$' -fuzz FuzzSelect -fuzztime 2000x
 	$(GO) test -count=1 ./internal/core -run '^$$' -fuzz FuzzStreamingQuery -fuzztime 25x
 	$(GO) test -count=1 ./internal/remote -run '^$$' -fuzz FuzzSeriesEncoding -fuzztime 500x
+	$(GO) test -count=1 ./internal/remote -run '^$$' -fuzz FuzzFastWriteDecode -fuzztime 500x
+	$(GO) test -count=1 ./internal/remote -run '^$$' -fuzz FuzzGroupWriteDecode -fuzztime 500x
 
 # benchmark-test runs the tests of the benchmark program. benchmark/ is its
 # own module (it replaces timeunion with ../), so `go test ./...` from the

@@ -422,11 +422,17 @@ func (db *DB) AppendGroupFast(gid uint64, slots []int, t int64, vals []float64) 
 // and group rounds by group ID and member slots. See AppendBatch.
 type Batch = head.Batch
 
+// ErrInvalidBatch wraps every AppendBatch error that validation found
+// before anything was applied: an unknown series or group ID, a slot out
+// of range, or a values row whose length does not match its slots.
+var ErrInvalidBatch = head.ErrInvalidBatch
+
 // AppendBatch applies a batch of fast-path samples all or nothing: every
 // series and group ID, slot and values row is validated before anything is
 // applied, and the whole batch is logged as one WAL record that is written
-// before AppendBatch returns (DESIGN.md §4.6). An error after validation
-// leaves the items applied before it in the head and in the log.
+// before AppendBatch returns (DESIGN.md §4.6). A validation error wraps
+// ErrInvalidBatch. An error after validation leaves the items applied
+// before it in the head and in the log.
 func (db *DB) AppendBatch(b *Batch) error {
 	if db.replica {
 		return ErrReadOnly

@@ -1,6 +1,15 @@
 package head
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// ErrInvalidBatch wraps every error of AppendBatch's validation phase: an
+// unknown series or group ID, a slot out of range, or a values row that
+// does not match its slots. Nothing of such a batch was applied, and
+// sending it again fails the same way.
+var ErrInvalidBatch = errors.New("head: invalid batch")
 
 // Batch is one write request: individual-series samples by ID and group
 // rounds by group ID and member slots. AppendBatch applies it all or
@@ -79,7 +88,8 @@ func (b *Batch) Reset() {
 // WAL entry in the same critical section as its sequence increment, and
 // then commits the staged entries as one record. An error in the second
 // phase (a failed ingest or WAL write) still commits what was staged, so
-// the log matches the head, and returns the error. applied reports
+// the log matches the head, and returns the error. Every validation error
+// wraps ErrInvalidBatch; no error after validation does. applied reports
 // whether validation passed and the second phase ran.
 func (h *Head) AppendBatch(b *Batch) (applied bool, err error) {
 	if err := h.resolveBatch(b); err != nil {
@@ -100,18 +110,18 @@ func (h *Head) resolveBatch(b *Batch) error {
 	for _, smp := range b.samples {
 		s, ok := h.lookupSeries(smp.id)
 		if !ok {
-			return fmt.Errorf("head: unknown series id %d", smp.id)
+			return fmt.Errorf("%w: unknown series id %d", ErrInvalidBatch, smp.id)
 		}
 		b.series = append(b.series, s)
 	}
 	b.groups = b.groups[:0]
 	for _, r := range b.rounds {
 		if len(r.slots) != len(r.vals) {
-			return fmt.Errorf("head: group append: %d slots vs %d values", len(r.slots), len(r.vals))
+			return fmt.Errorf("%w: group %d: %d slots vs %d values", ErrInvalidBatch, r.gid, len(r.slots), len(r.vals))
 		}
 		g, ok := h.lookupGroup(r.gid)
 		if !ok {
-			return fmt.Errorf("head: unknown group id %d", r.gid)
+			return fmt.Errorf("%w: unknown group id %d", ErrInvalidBatch, r.gid)
 		}
 		// Members only grow, so a slot valid now stays valid for the
 		// apply phase.
@@ -120,7 +130,7 @@ func (h *Head) resolveBatch(b *Batch) error {
 		g.mu.Unlock()
 		for _, s := range r.slots {
 			if s < 0 || s >= members {
-				return fmt.Errorf("head: group %d: slot %d out of range", r.gid, s)
+				return fmt.Errorf("%w: group %d: slot %d out of range", ErrInvalidBatch, r.gid, s)
 			}
 		}
 		b.groups = append(b.groups, g)

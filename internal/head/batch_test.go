@@ -1,6 +1,7 @@
 package head
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -92,8 +93,8 @@ func TestAppendBatchValidatesBeforeApplying(t *testing.T) {
 			b.AddGroup(f.gid, f.slots, 2, []float64{2, 2})
 			tc.bad(f, &b)
 			applied, err := f.h.AppendBatch(&b)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v, want one mentioning %q", err, tc.want)
+			if !errors.Is(err, ErrInvalidBatch) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want an ErrInvalidBatch mentioning %q", err, tc.want)
 			}
 			if applied {
 				t.Fatal("applied = true for a batch that failed validation")

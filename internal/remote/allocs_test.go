@@ -173,3 +173,95 @@ func BenchmarkQueryStream(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*40*streamFixtureSamples), "ns/sample")
 }
+
+// Allocations of one write request through the handler, measured when the
+// pin was introduced: a 1,010-sample write_fast body and a 10-round x
+// 101-slot write_group body. Decoding with encoding/json into a []Sample per
+// entry and a []float64 per row took 1,045 and 126 on the same fixture.
+const (
+	maxWriteFastAllocs  = 2
+	maxWriteGroupAllocs = 12
+)
+
+// writeFixture is a WAL-on DB whose head never cuts a chunk during the
+// measured requests, so the count is the handler's, not a flush's.
+func newWriteFixture(tb testing.TB) (http.Handler, *core.DB) {
+	tb.Helper()
+	db, err := core.Open(core.Options{
+		Dir:               tb.TempDir(),
+		Fast:              cloud.NewMemStore(cloud.TierBlock, cloud.LatencyModel{}),
+		Slow:              cloud.NewMemStore(cloud.TierObject, cloud.LatencyModel{}),
+		ChunkSamples:      512,
+		SlotsPerRegion:    256,
+		MemTableSize:      1 << 30,
+		L0PartitionLength: 1 << 40,
+		L2PartitionLength: 1 << 41,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { db.Close() })
+	return NewServer(&TimeUnionBackend{DB: db}), db
+}
+
+// measureWrites reports the allocations of one request to path, each run
+// sending the next of the bodies body(1), body(2), … built beforehand.
+func measureWrites(t *testing.T, h http.Handler, path string, runs int, body func(r int) []byte) float64 {
+	t.Helper()
+	reqs := make([]*http.Request, runs+2)
+	for i := range reqs {
+		reqs[i], _ = http.NewRequest(http.MethodPost, path, bytes.NewReader(body(i+1)))
+	}
+	w := &discardResponse{header: http.Header{}}
+	n := 0
+	serve := func() {
+		h.ServeHTTP(w, reqs[n])
+		n++
+	}
+	serve() // warm the pools
+	allocs := testing.AllocsPerRun(runs, serve)
+	if w.lines != runs+2 {
+		t.Fatalf("%s: %d reply lines for %d requests", path, w.lines, runs+2)
+	}
+	return allocs
+}
+
+// TestWriteFastAllocs pins the allocations of one 1,010-sample write_fast
+// request (101 hosts x 10 series, one sample each: the ingest benchmark's
+// shape).
+func TestWriteFastAllocs(t *testing.T) {
+	h, db := newWriteFixture(t)
+	ids := make([]uint64, 1010)
+	for i := range ids {
+		var err error
+		if ids[i], err = db.Append(labels.FromStrings("host", fmt.Sprint(i%101), "s", fmt.Sprint(i/101)), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := measureWrites(t, h, "/api/v1/write_fast", 20, func(r int) []byte {
+		req := FastWriteRequest{Entries: make([]FastWriteEntry, len(ids))}
+		for j, id := range ids {
+			req.Entries[j] = FastWriteEntry{ID: id, Samples: []Sample{{T: int64(r) * 10, V: float64(j) * 0.5}}}
+		}
+		body, _ := json.Marshal(req)
+		return body
+	})
+	t.Logf("write_fast: %.0f allocs per 1,010-sample request", allocs)
+	if allocs > maxWriteFastAllocs {
+		t.Fatalf("write_fast allocates %.0f times per request, want <= %d", allocs, maxWriteFastAllocs)
+	}
+}
+
+// TestWriteGroupAllocs pins the allocations of one write_group request by
+// gid: 10 rounds of a 101-member group (the mixed benchmark's shape).
+func TestWriteGroupAllocs(t *testing.T) {
+	h, db := newWriteFixture(t)
+	gid, slots := newBenchGroup(t, db)
+	allocs := measureWrites(t, h, "/api/v1/write_group", 10, func(r int) []byte {
+		return groupWriteBody(gid, slots, r)
+	})
+	t.Logf("write_group: %.0f allocs per 10-round x 101-slot request", allocs)
+	if allocs > maxWriteGroupAllocs {
+		t.Fatalf("write_group allocates %.0f times per request, want <= %d", allocs, maxWriteGroupAllocs)
+	}
+}

@@ -90,8 +90,8 @@ func TestFastWritesAreAllOrNothing(t *testing.T) {
 	walBytes := func() float64 { return db.Metrics().Snapshot()["timeunion_wal_size_bytes"] }
 	for _, r := range requests {
 		walBefore := walBytes()
-		if rec := post(t, h, r.path, r.req); rec.Code != http.StatusInternalServerError {
-			t.Fatalf("%s: status %d (%s), want 500", r.name, rec.Code, rec.Body.String())
+		if rec := post(t, h, r.path, r.req); rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (%s), want 400", r.name, rec.Code, rec.Body.String())
 		}
 		if n := sampleCount(t, db, "m", "s"); n != 1 {
 			t.Fatalf("%s: series holds %d samples, want the 1 written before", r.name, n)
@@ -157,4 +157,53 @@ func BenchmarkWriteFast(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*series), "ns/sample")
+}
+
+// newBenchGroup creates one group of 101 members, a host's series.
+func newBenchGroup(tb testing.TB, db *core.DB) (uint64, []int) {
+	tb.Helper()
+	members := make([]labels.Labels, 101)
+	for i := range members {
+		members[i] = labels.FromStrings("s", fmt.Sprint(i))
+	}
+	gid, slots, err := db.AppendGroup(labels.FromStrings("host", "h"), members, 0, make([]float64, len(members)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return gid, slots
+}
+
+// groupWriteBody is the r-th 10-round write_group body for the group.
+func groupWriteBody(gid uint64, slots []int, r int) []byte {
+	req := GroupWriteRequest{GID: gid, Slots: slots, Times: make([]int64, 10), Values: make([][]float64, 10)}
+	for i := range req.Times {
+		req.Times[i] = int64(r*10+i) * 10
+		req.Values[i] = make([]float64, len(slots))
+		for j := range slots {
+			req.Values[i][j] = float64(r+i+j) * 0.25
+		}
+	}
+	body, _ := json.Marshal(req)
+	return body
+}
+
+// BenchmarkWriteGroup sends one write_group body by gid, 10 rounds of a
+// 101-member group (the mixed benchmark's shape), through NewServer with
+// the WAL on.
+func BenchmarkWriteGroup(b *testing.B) {
+	h, db := newWALServer(b)
+	gid, slots := newBenchGroup(b, db)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rec := httptest.NewRecorder()
+		hr := httptest.NewRequest(http.MethodPost, "/api/v1/write_group", bytes.NewReader(groupWriteBody(gid, slots, i+1)))
+		b.StartTimer()
+		h.ServeHTTP(rec, hr)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*10*len(slots)), "ns/sample")
 }

@@ -47,6 +47,10 @@ type Series = core.Series
 // samples by series ID and group rounds by group ID and member slots.
 type Batch = core.Batch
 
+// ErrInvalidBatch is wrapped by every (*DB).AppendBatch error found in
+// validation, before anything was applied. Test with errors.Is.
+var ErrInvalidBatch = core.ErrInvalidBatch
+
 // Stats is a point-in-time resource usage snapshot.
 type Stats = core.Stats
 
