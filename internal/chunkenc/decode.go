@@ -16,7 +16,8 @@ import (
 //
 // Identity with the streaming decoders is pinned by fuzz tests: for every
 // payload, AppendXORSamples == draining an XORIterator, and
-// AppendGroupSlotSamples == draining a GroupSlotIterator.
+// AppendGroupSlotSamples == draining a GroupSlotIterator (the test-only
+// streaming oracle in groupslot_test.go).
 
 // AppendXORSamples batch-decodes an EncXOR payload, appending every sample
 // to ts/vs (which must be parallel). It returns the extended slices. On a
@@ -60,16 +61,16 @@ func AppendXORSamples(ts []int64, vs []float64, payload []byte) ([]int64, []floa
 // out of the tuple's shared time column and the member's value column,
 // appending to ts/vs. NULL slots are skipped; a value column shorter than
 // the time column is treated as NULL-padded (a member that joined
-// mid-tuple), matching GroupSlotIterator.
+// mid-tuple), matching the GroupSlotIterator oracle.
 func AppendGroupSlotSamples(ts []int64, vs []float64, timeCol, valCol []byte) ([]int64, []float64, error) {
 	if len(timeCol) < sampleCountLen {
 		return ts, vs, fmt.Errorf("chunkenc: decode group slot samples: %w", encoding.ErrShortBuffer)
 	}
 	numT := int(timeCol[0])<<8 | int(timeCol[1])
 	// A value column too short for its header only matters once a time slot
-	// consults it — with zero time slots it is never read. This mirrors
-	// GroupSlotIterator, which surfaces the value iterator's error at the
-	// first slot, keeping batch/streaming identity exact.
+	// consults it — with zero time slots it is never read. This mirrors the
+	// GroupSlotIterator oracle, which surfaces the value iterator's error at
+	// the first slot, keeping batch/streaming identity exact.
 	valShort := len(valCol) < sampleCountLen
 	numV := 0
 	var vr encoding.BitReader

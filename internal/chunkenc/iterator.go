@@ -108,76 +108,6 @@ func (it *SliceIterator) At() (int64, float64) { return it.s[it.i].T, it.s[it.i]
 // Err implements SampleIterator.
 func (it *SliceIterator) Err() error { return nil }
 
-// GroupSlotIterator streams one member's non-NULL samples out of a group
-// tuple by walking the shared timestamp column and the member's value
-// column in lockstep, skipping NULL slots. A value column shorter than the
-// time column is treated as NULL-padded (a member that joined mid-tuple).
-type GroupSlotIterator struct {
-	tit  GroupTimeIterator // by value: one allocation for the whole stack
-	vit  GroupValueIterator
-	t    int64
-	v    float64
-	done bool // a Next/Seek returned false; the iterator stays exhausted
-	err  error
-}
-
-// NewGroupSlotIterator returns an iterator over one member's samples given
-// the tuple's encoded time column and the member's encoded value column.
-func NewGroupSlotIterator(timePayload, valPayload []byte) *GroupSlotIterator {
-	it := &GroupSlotIterator{}
-	it.tit.reset(timePayload)
-	it.vit.reset(valPayload)
-	return it
-}
-
-// Next implements SampleIterator.
-func (it *GroupSlotIterator) Next() bool {
-	if it.err != nil || it.done {
-		return false
-	}
-	for {
-		if !it.tit.Next() {
-			it.err = it.tit.Err()
-			it.done = true
-			return false
-		}
-		if !it.vit.Next() {
-			if err := it.vit.Err(); err != nil {
-				it.err = err
-				it.done = true
-				return false
-			}
-			continue // short column: remaining slots are NULL
-		}
-		v, null := it.vit.At()
-		if null {
-			continue
-		}
-		it.t, it.v = it.tit.At(), v
-		return true
-	}
-}
-
-// Seek implements SampleIterator by forward decode (the columns are
-// delta/XOR streams without random access).
-func (it *GroupSlotIterator) Seek(t int64) bool {
-	if it.err != nil || it.done {
-		return false
-	}
-	for it.tit.numRead == 0 || it.t < t {
-		if !it.Next() {
-			return false
-		}
-	}
-	return true
-}
-
-// At implements SampleIterator.
-func (it *GroupSlotIterator) At() (int64, float64) { return it.t, it.v }
-
-// Err implements SampleIterator.
-func (it *GroupSlotIterator) Err() error { return it.err }
-
 // RankedIterator pairs a sample source with its recency rank for merging.
 // When two sources produce the same timestamp the sample from the higher
 // rank wins (paper §3.3: "keep the data sample from the newest SSTable").
@@ -451,62 +381,3 @@ func (m *MergeIterator) At() (int64, float64) {
 
 // Err implements SampleIterator.
 func (m *MergeIterator) Err() error { return m.err }
-
-// rangeIterator clips an iterator to [mint, maxt]: the first advance seeks
-// to mint (skipping whole chunks via the underlying Seek), and the stream
-// ends at the first sample past maxt without consuming beyond it.
-type rangeIterator struct {
-	it         SampleIterator
-	mint, maxt int64
-	started    bool
-	done       bool
-}
-
-// NewRangeLimit returns it clipped to [mint, maxt] (both inclusive).
-func NewRangeLimit(it SampleIterator, mint, maxt int64) SampleIterator {
-	return &rangeIterator{it: it, mint: mint, maxt: maxt}
-}
-
-func (r *rangeIterator) Next() bool {
-	if r.done {
-		return false
-	}
-	if !r.started {
-		r.started = true
-		if !r.it.Seek(r.mint) {
-			r.done = true
-			return false
-		}
-	} else if !r.it.Next() {
-		r.done = true
-		return false
-	}
-	if t, _ := r.it.At(); t > r.maxt {
-		r.done = true
-		return false
-	}
-	return true
-}
-
-func (r *rangeIterator) Seek(t int64) bool {
-	if r.done {
-		return false
-	}
-	if t < r.mint {
-		t = r.mint
-	}
-	r.started = true
-	if !r.it.Seek(t) {
-		r.done = true
-		return false
-	}
-	if tt, _ := r.it.At(); tt > r.maxt {
-		r.done = true
-		return false
-	}
-	return true
-}
-
-func (r *rangeIterator) At() (int64, float64) { return r.it.At() }
-
-func (r *rangeIterator) Err() error { return r.it.Err() }

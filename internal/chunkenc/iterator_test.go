@@ -196,28 +196,6 @@ func TestMergeIteratorError(t *testing.T) {
 	}
 }
 
-func TestRangeLimit(t *testing.T) {
-	enc := mustEncode(t, []Sample{{T: 10, V: 1}, {T: 20, V: 2}, {T: 30, V: 3}, {T: 40, V: 4}})
-	it := NewRangeLimit(NewXORIterator(enc), 15, 35)
-	sampleEq(t, drain(t, it), []Sample{{T: 20, V: 2}, {T: 30, V: 3}})
-
-	it = NewRangeLimit(NewXORIterator(enc), 15, 35)
-	if !it.Seek(5) { // clamped to mint
-		t.Fatal("Seek(5) = false")
-	}
-	if ts, _ := it.At(); ts != 20 {
-		t.Fatalf("clamped Seek at %d", ts)
-	}
-	if it.Seek(36) {
-		t.Fatal("Seek beyond maxt = true")
-	}
-
-	it = NewRangeLimit(NewXORIterator(enc), 50, 60)
-	if it.Next() {
-		t.Fatal("empty range advanced")
-	}
-}
-
 // refMerge is the oracle: materialize every source, highest rank wins per
 // timestamp.
 func refMerge(srcs [][]Sample, ranks []uint64) []Sample {

@@ -7,71 +7,6 @@ package chunkenc
 // analyzer (internal/lint) rejects implementations elsewhere, which lets
 // the build scope go vet's -stdmethods exemption to internal/chunkenc only.
 
-// LazyIterator defers constructing an underlying iterator until the merge
-// cursor actually needs a sample, and prunes on time bounds: a Seek past
-// maxT exhausts the iterator without ever invoking open. It is the engine
-// behind "chunks whose envelope bounds miss the query window are never
-// decoded" (DESIGN.md §4.8).
-type LazyIterator struct {
-	open       func() SampleIterator
-	minT, maxT int64
-	inner      SampleIterator
-	done       bool
-}
-
-// NewLazyIterator wraps open, which will be called at most once, the first
-// time a sample inside [minT, maxT] is demanded. minT/maxT are the chunk's
-// envelope time bounds (both inclusive).
-func NewLazyIterator(minT, maxT int64, open func() SampleIterator) *LazyIterator {
-	return &LazyIterator{open: open, minT: minT, maxT: maxT}
-}
-
-// Next implements SampleIterator.
-func (it *LazyIterator) Next() bool {
-	if it.done {
-		return false
-	}
-	if it.inner == nil {
-		it.inner = it.open()
-	}
-	if !it.inner.Next() {
-		it.done = true
-		return false
-	}
-	return true
-}
-
-// Seek implements SampleIterator. When the whole chunk lies before t the
-// iterator exhausts without decoding anything.
-func (it *LazyIterator) Seek(t int64) bool {
-	if it.done {
-		return false
-	}
-	if it.inner == nil && it.maxT < t {
-		it.done = true // the whole chunk lies before t: never decode it
-		return false
-	}
-	if it.inner == nil {
-		it.inner = it.open()
-	}
-	if !it.inner.Seek(t) {
-		it.done = true
-		return false
-	}
-	return true
-}
-
-// At implements SampleIterator.
-func (it *LazyIterator) At() (int64, float64) { return it.inner.At() }
-
-// Err implements SampleIterator.
-func (it *LazyIterator) Err() error {
-	if it.inner == nil {
-		return nil
-	}
-	return it.inner.Err()
-}
-
 // PeekedIterator re-emits the one sample its constructor consumed while
 // probing a stream for emptiness, then delegates to the underlying
 // iterator.

@@ -95,13 +95,13 @@ func IsPoisonV(v float64) bool { return math.Float64bits(v) == poisonVBits }
 
 // --- ChunkIterator: pooled per-chunk batch-decoding iterator ---
 
-// ChunkIterator is the pooled replacement for the LazyIterator-over-
-// XORIterator (or GroupSlotIterator) stack on the hot read path. It keeps
-// the chunk's encoded payload and decodes the whole chunk in one batch pass
-// into a pooled SampleBuffer the first time a sample inside [minT, maxT] is
-// demanded; Next/Seek then walk the decoded columns, and Seek is a binary
-// search instead of a linear forward decode. A Seek past maxT exhausts the
-// iterator without ever decoding (same pruning as LazyIterator).
+// ChunkIterator is the pooled per-chunk iterator of the hot read path. It
+// keeps the chunk's encoded payload and decodes the whole chunk in one
+// batch pass into a pooled SampleBuffer the first time a sample inside
+// [minT, maxT] is demanded; Next/Seek then walk the decoded columns, and
+// Seek is a binary search instead of a linear forward decode. A Seek past
+// maxT exhausts the iterator without ever decoding, so chunks whose time
+// bounds miss the query window are never decoded (DESIGN.md §4.8).
 //
 // The payload slices are only read during the single decode call, so a
 // ChunkIterator may alias cache-resident or memory-mapped bytes as long as
@@ -332,9 +332,9 @@ func (it *BufferIterator) Release() {
 
 // QueryIterator is the pooled per-series query stream: a deduplicating
 // k-way merge over ranked sources, clipped to [mint, maxt], with a built-in
-// one-sample peek so emptiness probes don't need a wrapper allocation. It
-// replaces the NewRangeLimit(NewMergeIterator(...)) + PeekedIterator stack
-// (three allocations per series) with one pooled object.
+// one-sample peek so emptiness probes don't need a wrapper allocation: one
+// pooled object per series where a merge, a range clip and a peek wrapper
+// would cost three allocations.
 //
 // The QueryIterator owns its sources: Release cascades to every pooled
 // source (ChunkIterator, BufferIterator, ...), so callers hand sources over

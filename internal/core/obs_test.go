@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -84,77 +85,172 @@ func TestQueryTraceE2E(t *testing.T) {
 	}
 }
 
+// The overhead guards below share one ingest shape: ingestGoroutines
+// writers, each appending ingestRounds samples to its own
+// ingestSeriesPerGoro series.
+const (
+	ingestGoroutines    = 8
+	ingestSeriesPerGoro = 32
+	ingestRounds        = 2000
+)
+
+// openIngestDB opens an in-memory DB with the given instrumentation
+// switches and registers the series the guards append to.
+func openIngestDB(t *testing.T, disableMetrics, disableJournal bool) (*DB, []uint64) {
+	t.Helper()
+	db, err := Open(Options{
+		Fast:           cloud.NewMemStore(cloud.TierBlock, cloud.LatencyModel{}),
+		Slow:           cloud.NewMemStore(cloud.TierObject, cloud.LatencyModel{}),
+		ChunkSamples:   32,
+		MemTableSize:   4 << 20,
+		DisableMetrics: disableMetrics,
+		DisableJournal: disableJournal,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]uint64, ingestGoroutines*ingestSeriesPerGoro)
+	for i := range ids {
+		id, err := db.Append(labels.FromStrings("metric", "cpu", "i", string(rune('a'+i/26%26))+string(rune('a'+i%26))+string(rune('a'+i/676))), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	return db, ids
+}
+
+// appendAllocs measures the allocations of one append round over ids: one
+// AppendFast per series, or one AppendBatch carrying them all. The rounds
+// stay well under the memtable flush threshold, so no background work runs
+// during the measurement.
+func appendAllocs(t *testing.T, db *DB, ids []uint64, batch bool) float64 {
+	var b Batch
+	ts := int64(0)
+	return testing.AllocsPerRun(200, func() {
+		ts += 10
+		if batch {
+			b.Reset()
+			for _, id := range ids {
+				b.Add(id, ts, 1.5)
+			}
+			if err := db.AppendBatch(&b); err != nil {
+				t.Error(err)
+			}
+			return
+		}
+		for _, id := range ids {
+			if err := db.AppendFast(id, ts, 1.5); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+}
+
+// sustainedIngest runs the parallel AppendFast workload and returns its
+// wall time.
+func sustainedIngest(t *testing.T, db *DB, ids []uint64) time.Duration {
+	start := time.Now()
+	var wg sync.WaitGroup
+	for w := 0; w < ingestGoroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; n < ingestRounds; n++ {
+				ts := int64(n+1) * 10
+				for s := w * ingestSeriesPerGoro; s < (w+1)*ingestSeriesPerGoro; s++ {
+					if err := db.AppendFast(ids[s], ts, float64(n)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	return time.Since(start)
+}
+
+// nsPer is op's cost: the fastest of five timed runs of n calls, since
+// scheduler noise only ever adds time.
+func nsPer(n int, op func(i int)) float64 {
+	best := time.Duration(1<<63 - 1)
+	for trial := 0; trial < 5; trial++ {
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			op(i)
+		}
+		best = min(best, time.Since(start))
+	}
+	return float64(best.Nanoseconds()) / float64(n)
+}
+
 // TestObsOverheadBudget guards the <5% instrumentation overhead budget on
-// the parallel fast-path append workload (the BenchmarkAppendFastParallel
-// shape). Wall-clock ratios are noisy in shared CI, so the guard only runs
-// when explicitly requested:
+// the ingest path. Like the journal guard below it is certified two ways,
+// both deterministic, because a wall-clock A/B of 8 writers on a shared
+// 2-core machine cannot resolve 5%:
+//
+//  1. Allocation equality: AppendFast and AppendBatch allocate exactly as
+//     much with metrics on as with them off.
+//  2. Arithmetic bound: the instrument operations of a sustained parallel
+//     ingest run — one sharded counter Add per append, plus two clock
+//     reads and a histogram Observe per sampled append (one in
+//     appendSampleMask+1) — times their measured cost must stay under 5%
+//     of the run's wall time. The run keeps P = min(GOMAXPROCS, writers)
+//     processors busy and the instrument work is spread over them, so it
+//     adds cost/P to the wall time: the bound is cost / (P x elapsed),
+//     the same ratio the wall-clock A/B estimated.
+//
+// It only runs when requested:
 //
 //	OBS_OVERHEAD_GUARD=1 go test ./internal/core/ -run TestObsOverheadBudget
 func TestObsOverheadBudget(t *testing.T) {
 	if os.Getenv("OBS_OVERHEAD_GUARD") == "" {
 		t.Skip("set OBS_OVERHEAD_GUARD=1 to run the metrics overhead guard")
 	}
-	const (
-		goroutines    = 8
-		seriesPerGoro = 32
-		rounds        = 2000 // appends per series per trial
-		trials        = 3    // best-of to suppress scheduler noise
-	)
-	run := func(disable bool) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for trial := 0; trial < trials; trial++ {
-			db, err := Open(Options{
-				Fast:           cloud.NewMemStore(cloud.TierBlock, cloud.LatencyModel{}),
-				Slow:           cloud.NewMemStore(cloud.TierObject, cloud.LatencyModel{}),
-				ChunkSamples:   32,
-				MemTableSize:   4 << 20,
-				DisableMetrics: disable,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids := make([]uint64, goroutines*seriesPerGoro)
-			for i := range ids {
-				id, err := db.Append(labels.FromStrings("metric", "cpu", "i", string(rune('a'+i/26%26))+string(rune('a'+i%26))+string(rune('a'+i/676))), 0, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ids[i] = id
-			}
-			start := time.Now()
-			var wg sync.WaitGroup
-			for w := 0; w < goroutines; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for n := 0; n < rounds; n++ {
-						ts := int64(n+1) * 10
-						for s := w * seriesPerGoro; s < (w+1)*seriesPerGoro; s++ {
-							if err := db.AppendFast(ids[s], ts, float64(n)); err != nil {
-								t.Error(err)
-								return
-							}
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			if d := time.Since(start); d < best {
-				best = d
-			}
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
+
+	// Part 1: per-append allocation work is identical with metrics on and
+	// off, on both append paths.
+	for _, batch := range []bool{false, true} {
+		allocsFor := func(disableMetrics bool) float64 {
+			db, ids := openIngestDB(t, disableMetrics, false)
+			defer db.Close()
+			return appendAllocs(t, db, ids, batch)
 		}
-		return best
+		base, inst := allocsFor(true), allocsFor(false)
+		t.Logf("batch=%v: allocs per %d-series append round: no-metrics=%.1f instrumented=%.1f", batch, ingestGoroutines*ingestSeriesPerGoro, base, inst)
+		if base != inst {
+			t.Errorf("metrics changed append-path allocations (batch=%v): %.1f -> %.1f per round", batch, base, inst)
+		}
 	}
 
-	baseline := run(true)
-	instrumented := run(false)
-	ratio := float64(instrumented) / float64(baseline)
-	t.Logf("append fast parallel: baseline=%s instrumented=%s ratio=%.3f", baseline, instrumented, ratio)
-	if ratio > 1.05 {
-		t.Errorf("instrumentation overhead %.1f%% exceeds the 5%% budget", (ratio-1)*100)
+	// Part 2: sustained parallel ingest with metrics on; bound the overhead
+	// by what the instrument operations it performed could have cost.
+	db, ids := openIngestDB(t, false, false)
+	elapsed := sustainedIngest(t, db, ids)
+	adds, timed := db.m.appends.Value(), db.m.appendLat.Count()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(len(ids) * (ingestRounds + 1)); adds != want { // + the registering Append
+		t.Fatalf("counted %d appends, ran %d", adds, want)
+	}
+
+	var c obs.ShardedCounter
+	h := obs.NewRegistry().Histogram("timeunion_test_seconds", "", "")
+	const runs = 100_000
+	perAdd := nsPer(runs, func(i int) { c.Add(uint64(i), 1) })
+	perTimed := nsPer(runs, func(int) {
+		start := time.Now()
+		h.Observe(time.Since(start))
+	})
+	procs := min(runtime.GOMAXPROCS(0), ingestGoroutines)
+	cost := float64(adds)*perAdd + float64(timed)*perTimed
+	bound := cost / (float64(procs) * float64(elapsed.Nanoseconds()))
+	t.Logf("sustained ingest: elapsed=%s procs=%d appends=%d timed=%d add=%.1fns timed=%.1fns -> overhead bound %.2f%%",
+		elapsed, procs, adds, timed, perAdd, perTimed, bound*100)
+	if bound > 0.05 {
+		t.Errorf("instrumentation overhead bound %.2f%% exceeds the 5%% budget", bound*100)
 	}
 }
 
@@ -178,77 +274,23 @@ func TestJournalOverheadBudget(t *testing.T) {
 	if os.Getenv("JOURNAL_OVERHEAD_GUARD") == "" {
 		t.Skip("set JOURNAL_OVERHEAD_GUARD=1 to run the journal overhead guard")
 	}
-	const (
-		goroutines    = 8
-		seriesPerGoro = 32
-		rounds        = 2000
-	)
-	openArm := func(disableJournal bool) (*DB, []uint64) {
-		db, err := Open(Options{
-			Fast:           cloud.NewMemStore(cloud.TierBlock, cloud.LatencyModel{}),
-			Slow:           cloud.NewMemStore(cloud.TierObject, cloud.LatencyModel{}),
-			ChunkSamples:   32,
-			MemTableSize:   4 << 20,
-			DisableJournal: disableJournal,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids := make([]uint64, goroutines*seriesPerGoro)
-		for i := range ids {
-			id, err := db.Append(labels.FromStrings("metric", "cpu", "i", string(rune('a'+i/26%26))+string(rune('a'+i%26))+string(rune('a'+i/676))), 0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids[i] = id
-		}
-		return db, ids
-	}
-
 	// Part 1: per-append allocation work is identical with the journal on
-	// and off. The append count is kept well under the memtable flush
-	// threshold so no background work runs during the measurement.
+	// and off.
 	allocsFor := func(disableJournal bool) float64 {
-		db, ids := openArm(disableJournal)
+		db, ids := openIngestDB(t, false, disableJournal)
 		defer db.Close()
-		ts := int64(0)
-		return testing.AllocsPerRun(200, func() {
-			ts += 10
-			for _, id := range ids {
-				if err := db.AppendFast(id, ts, 1.5); err != nil {
-					t.Error(err)
-				}
-			}
-		})
+		return appendAllocs(t, db, ids, false)
 	}
 	base, journ := allocsFor(true), allocsFor(false)
-	t.Logf("allocs per %d-series append round: no-journal=%.1f journaled=%.1f", goroutines*seriesPerGoro, base, journ)
+	t.Logf("allocs per %d-series append round: no-journal=%.1f journaled=%.1f", ingestGoroutines*ingestSeriesPerGoro, base, journ)
 	if base != journ {
 		t.Errorf("journal changed append-path allocations: %.1f -> %.1f per round", base, journ)
 	}
 
 	// Part 2: sustained parallel ingest with the journal on; bound the
 	// overhead by what the emitted events could possibly have cost.
-	db, ids := openArm(false)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < goroutines; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for n := 0; n < rounds; n++ {
-				ts := int64(n+1) * 10
-				for s := w * seriesPerGoro; s < (w+1)*seriesPerGoro; s++ {
-					if err := db.AppendFast(ids[s], ts, float64(n)); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	db, ids := openIngestDB(t, false, false)
+	elapsed := sustainedIngest(t, db, ids)
 	events := db.Journal().LastSeq()
 	if events == 0 {
 		t.Fatal("sustained run journaled nothing; the guard is not exercising emission")

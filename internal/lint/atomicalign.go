@@ -2,131 +2,38 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
 	"strings"
 )
 
-// AtomicAlign enforces 32-bit atomic safety (DESIGN.md §4.7 hot-path
-// budget): a plain int64/uint64 struct field whose address is passed to
-// the sync/atomic 64-bit functions must
-//
-//  1. sit at an 8-byte-aligned offset under 32-bit layout rules (GOARCH
-//     386), where the compiler only guarantees 4-byte alignment for
-//     64-bit words — a misaligned atomic faults on arm and 386; and
-//  2. be accessed exclusively through sync/atomic: one plain load mixed
-//     in silently tears under the race detector's radar.
-//
-// The typed atomics (atomic.Int64, obs.Counter/Gauge) are immune on both
-// counts — they self-align and unexport the word — and are the preferred
-// fix for either finding.
+// AtomicAlign keeps 64-bit atomics typed (DESIGN.md §4.7 hot-path budget):
+// any call of a sync/atomic function on a plain int64 or uint64
+// (AddInt64, LoadUint64, ...) is a finding that names the typed atomic to
+// use instead. atomic.Int64 and atomic.Uint64 are 8-byte aligned even
+// under 32-bit layout and cannot be read without the atomic API, so
+// neither hazard of the plain-word functions can arise: a word that
+// faults on 386 and arm because it sits at a 4-byte offset, or a plain
+// access mixed in that tears.
 var AtomicAlign = &Analyzer{
 	Name: "atomicalign",
-	Doc:  "sync/atomic-accessed int64/uint64 struct fields must be 8-byte aligned on 32-bit and never mixed with plain access",
+	Doc:  "64-bit sync/atomic functions on plain words are forbidden; use atomic.Int64 or atomic.Uint64",
 	Run:  runAtomicAlign,
 }
 
-// atomic64Funcs are the sync/atomic functions taking *int64/*uint64.
-func isAtomic64Func(name string) bool {
-	for _, prefix := range []string{"Add", "Load", "Store", "Swap", "CompareAndSwap", "And", "Or"} {
-		if rest, ok := strings.CutPrefix(name, prefix); ok {
-			return rest == "Int64" || rest == "Uint64"
-		}
-	}
-	return false
-}
-
 func runAtomicAlign(pass *Pass) {
-	// Pass 1: find struct fields whose address feeds a 64-bit sync/atomic
-	// call, remembering which selector expressions were those sanctioned
-	// accesses.
-	atomicFields := map[*types.Var]ast.Node{}  // field -> one atomic call site
-	sanctioned := map[*ast.SelectorExpr]bool{} // &x.f operands of atomic calls
 	pass.Inspect(func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
 		name, ok := calleeFromPkg(pass.Info, call, "sync/atomic")
-		if !ok || !isAtomic64Func(name) || len(call.Args) == 0 {
-			return true
-		}
-		unary, ok := call.Args[0].(*ast.UnaryExpr)
 		if !ok {
 			return true
 		}
-		sel, ok := unary.X.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		selection, ok := pass.Info.Selections[sel]
-		if !ok || selection.Kind() != types.FieldVal {
-			return true
-		}
-		field := selection.Obj().(*types.Var)
-		sanctioned[sel] = true
-		if _, seen := atomicFields[field]; !seen {
-			atomicFields[field] = call
-		}
-		return true
-	})
-	if len(atomicFields) == 0 {
-		return
-	}
-
-	// Pass 2: check 32-bit layout of every struct declaring such a field.
-	sizes32 := types.SizesFor("gc", "386")
-	pass.Inspect(func(n ast.Node) bool {
-		ts, ok := n.(*ast.TypeSpec)
-		if !ok {
-			return true
-		}
-		obj, _ := pass.Info.Defs[ts.Name].(*types.TypeName)
-		if obj == nil {
-			return true
-		}
-		st, ok := obj.Type().Underlying().(*types.Struct)
-		if !ok {
-			return true
-		}
-		fields := make([]*types.Var, st.NumFields())
-		for i := range fields {
-			fields[i] = st.Field(i)
-		}
-		offsets := sizes32.Offsetsof(fields)
-		for i, f := range fields {
-			if _, isAtomic := atomicFields[f]; !isAtomic {
-				continue
-			}
-			if offsets[i]%8 != 0 {
-				pass.Reportf(f.Pos(), "field %s.%s is used with 64-bit sync/atomic but sits at offset %d under 32-bit layout; move it to the front of the struct, pad to 8 bytes, or switch to atomic.%s", obj.Name(), f.Name(), offsets[i], typedAtomicFor(f.Type()))
+		for _, op := range []string{"Add", "Load", "Store", "Swap", "CompareAndSwap", "And", "Or"} {
+			if typ, ok := strings.CutPrefix(name, op); ok && (typ == "Int64" || typ == "Uint64") {
+				pass.Reportf(call.Pos(), "atomic.%s on a plain %s; use atomic.%s, which is 8-byte aligned on 32-bit platforms and cannot be read plainly", name, strings.ToLower(typ), typ)
 			}
 		}
 		return true
 	})
-
-	// Pass 3: every other access to an atomic field is a mixed plain
-	// access.
-	pass.Inspect(func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok || sanctioned[sel] {
-			return true
-		}
-		selection, ok := pass.Info.Selections[sel]
-		if !ok || selection.Kind() != types.FieldVal {
-			return true
-		}
-		field := selection.Obj().(*types.Var)
-		if _, isAtomic := atomicFields[field]; !isAtomic {
-			return true
-		}
-		pass.Reportf(sel.Sel.Pos(), "plain access to field %s, which is accessed with sync/atomic elsewhere in this package; use the atomic API here too (or atomic.%s)", field.Name(), typedAtomicFor(field.Type()))
-		return true
-	})
-}
-
-func typedAtomicFor(t types.Type) string {
-	if basic, ok := types.Unalias(t).(*types.Basic); ok && basic.Kind() == types.Uint64 {
-		return "Uint64"
-	}
-	return "Int64"
 }

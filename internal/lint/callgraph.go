@@ -74,6 +74,9 @@ type Node struct {
 	Pkg  *Package      // declaring loaded package, nil otherwise
 	Out  []Edge
 	In   []Edge
+	// Lits are the function literals in Decl's body, nested ones included,
+	// in source order.
+	Lits []*ast.FuncLit
 }
 
 // Name returns a readable package-qualified function name for messages.
@@ -266,6 +269,7 @@ func (w *graphWalker) walk(n ast.Node, concurrent bool) {
 			w.call(n, concurrent, false, false)
 			return false
 		case *ast.FuncLit:
+			w.owner.Lits = append(w.owner.Lits, n)
 			w.walk(n.Body, concurrent)
 			return false
 		case *ast.SelectorExpr:
@@ -286,6 +290,7 @@ func (w *graphWalker) walk(n ast.Node, concurrent bool) {
 func (w *graphWalker) call(call *ast.CallExpr, concurrent, spawn, deferred bool) {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.FuncLit:
+		w.owner.Lits = append(w.owner.Lits, fun)
 		w.walk(fun.Body, concurrent || spawn)
 	case *ast.Ident:
 		if fn, ok := w.pkg.Info.Uses[fun].(*types.Func); ok {

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -92,16 +93,18 @@ type lockEdge struct {
 
 func runLockGraph(pass *ModulePass) {
 	lg := &lockGrapher{
-		pass:    pass,
-		acquire: map[*Node]map[lockClass]bool{},
-		calls:   map[*Node][]lockCallSite{},
-		edges:   map[lockClass]map[lockClass]lockEdge{},
+		pass:     pass,
+		acquire:  map[*Node]map[lockClass]bool{},
+		deferred: map[*ast.CallExpr]bool{},
+		calls:    map[*Node][]lockCallSite{},
+		edges:    map[lockClass]map[lockClass]lockEdge{},
 	}
 	// Pass 1: per-function direct acquisitions, direct edges, and call
 	// sites annotated with the held set.
 	for _, n := range pass.Graph.Nodes() {
 		if n.Decl.Body != nil {
-			lg.scanBody(n, n.Decl.Body, nil, false)
+			lg.cur = n
+			walkFunc(lg, n)
 		}
 	}
 	// Pass 2: transitive may-acquire summaries over the call graph.
@@ -147,6 +150,9 @@ type lockGrapher struct {
 	acquire map[*Node]map[lockClass]bool // direct, then transitive (fixpoint)
 	calls   map[*Node][]lockCallSite
 	edges   map[lockClass]map[lockClass]lockEdge // first witness per pair
+
+	cur      *Node                  // declaration being walked
+	deferred map[*ast.CallExpr]bool // deferred calls: their Unlock keeps the lock held
 }
 
 func (lg *lockGrapher) addEdge(from, to lockClass, w lockEdge) {
@@ -161,233 +167,74 @@ func (lg *lockGrapher) addEdge(from, to lockClass, w lockEdge) {
 	}
 }
 
-// scanBody walks one executable body, tracking held classes (deferred
-// unlocks pin their lock to function end), branch-aware: a lock acquired in
-// an if/case body that terminates (returns or breaks) is not held by the
-// statements after it; a branch that falls through contributes its held set
-// conservatively (union — may-hold).
-// held is the entry state: nil for a declaration or a goroutine literal
-// (which runs with its own, empty state), the enclosing snapshot is NOT
-// propagated into literals because they execute at an unknown later time.
-// inGo marks bodies that run on a spawned goroutine: their acquisitions are
-// real edges internally but are excluded from n's summary and call sites.
-func (lg *lockGrapher) scanBody(n *Node, body *ast.BlockStmt, held []lockClass, inGo bool) {
-	bs := &bodyScan{lg: lg, n: n, inGo: inGo, deferred: map[*ast.CallExpr]bool{}}
-	bs.scanStmts(body.List, held)
+// lockState is the may-hold set on one path. inGo marks a goroutine body:
+// its acquisitions are real edges internally but stay out of the
+// enclosing declaration's summary and call sites.
+type lockState struct {
+	held []lockClass
+	inGo bool
 }
 
-type bodyScan struct {
-	lg       *lockGrapher
-	n        *Node
-	inGo     bool
-	deferred map[*ast.CallExpr]bool
+func (lg *lockGrapher) body(concurrent bool) lockState { return lockState{inGo: concurrent} }
+
+func (lg *lockGrapher) clone(s lockState) lockState {
+	s.held = slices.Clone(s.held)
+	return s
 }
 
-func cloneLocks(held []lockClass) []lockClass {
-	return append([]lockClass(nil), held...)
-}
-
-// unionLocks merges two may-hold sets.
-func unionLocks(a, b []lockClass) []lockClass {
-	out := cloneLocks(a)
-	for _, c := range b {
-		have := false
-		for _, e := range out {
-			if e == c {
-				have = true
-				break
-			}
-		}
-		if !have {
-			out = append(out, c)
+// join is the may-hold union.
+func (lg *lockGrapher) join(a, b lockState) lockState {
+	for _, c := range b.held {
+		if !slices.Contains(a.held, c) {
+			a.held = append(a.held, c)
 		}
 	}
-	return out
+	return a
 }
 
-// scanStmts walks a statement list, threading the held set through and
-// stopping at a terminator (return, break, continue, goto).
-func (bs *bodyScan) scanStmts(stmts []ast.Stmt, held []lockClass) ([]lockClass, bool) {
-	for _, s := range stmts {
-		var term bool
-		held, term = bs.scanStmt(s, held)
-		if term {
-			return held, true
-		}
-	}
-	return held, false
-}
-
-func (bs *bodyScan) scanStmt(s ast.Stmt, held []lockClass) ([]lockClass, bool) {
-	switch s := s.(type) {
-	case *ast.IfStmt:
-		if s.Init != nil {
-			held, _ = bs.scanStmt(s.Init, held)
-		}
-		held = bs.scanNode(s.Cond, held)
-		out := held
-		thenHeld, thenTerm := bs.scanStmts(s.Body.List, cloneLocks(held))
-		if !thenTerm {
-			out = unionLocks(out, thenHeld)
-		}
-		elseTerm := false
-		if s.Else != nil {
-			var elseHeld []lockClass
-			elseHeld, elseTerm = bs.scanStmt(s.Else, cloneLocks(held))
-			if !elseTerm {
-				out = unionLocks(out, elseHeld)
-			}
-		}
-		return out, thenTerm && elseTerm
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			held = bs.scanNode(r, held)
-		}
-		return held, true
-	case *ast.BranchStmt:
-		return held, true
-	case *ast.BlockStmt:
-		return bs.scanStmts(s.List, held)
-	case *ast.LabeledStmt:
-		return bs.scanStmt(s.Stmt, held)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			held, _ = bs.scanStmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			held = bs.scanNode(s.Cond, held)
-		}
-		bodyHeld, bodyTerm := bs.scanStmts(s.Body.List, cloneLocks(held))
-		if !bodyTerm && s.Post != nil {
-			bodyHeld, _ = bs.scanStmt(s.Post, bodyHeld)
-		}
-		if !bodyTerm {
-			held = unionLocks(held, bodyHeld)
-		}
-		return held, false
-	case *ast.RangeStmt:
-		held = bs.scanNode(s.X, held)
-		bodyHeld, bodyTerm := bs.scanStmts(s.Body.List, cloneLocks(held))
-		if !bodyTerm {
-			held = unionLocks(held, bodyHeld)
-		}
-		return held, false
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			held, _ = bs.scanStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			held = bs.scanNode(s.Tag, held)
-		}
-		return bs.scanClauses(s.Body.List, held)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			held, _ = bs.scanStmt(s.Init, held)
-		}
-		held, _ = bs.scanStmt(s.Assign, held)
-		return bs.scanClauses(s.Body.List, held)
-	case *ast.SelectStmt:
-		return bs.scanClauses(s.Body.List, held)
-	case *ast.DeferStmt:
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			bs.lg.scanBody(bs.n, lit.Body, nil, bs.inGo)
-			for _, a := range s.Call.Args {
-				held = bs.scanNode(a, held)
-			}
-			return held, false
-		}
-		bs.deferred[s.Call] = true
-		return bs.scanNode(s.Call, held), false
+// transfer applies the lock operations in one node and records its call
+// sites with the held set.
+func (lg *lockGrapher) transfer(st lockState, nd ast.Node) lockState {
+	switch nd := nd.(type) {
 	case *ast.GoStmt:
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			bs.lg.scanBody(bs.n, lit.Body, nil, true)
-		}
-		return held, false // concurrent: nothing held across it
-	default:
-		return bs.scanNode(s, held), false
+		return st // concurrent: nothing held across it
+	case *ast.DeferStmt:
+		lg.deferred[nd.Call] = true
 	}
-}
-
-// scanClauses walks switch/select clauses as parallel branches from the
-// same entry state.
-func (bs *bodyScan) scanClauses(clauses []ast.Stmt, held []lockClass) ([]lockClass, bool) {
-	out := held
-	for _, cl := range clauses {
-		branch := cloneLocks(held)
-		var body []ast.Stmt
-		switch cc := cl.(type) {
-		case *ast.CaseClause:
-			for _, e := range cc.List {
-				branch = bs.scanNode(e, branch)
-			}
-			body = cc.Body
-		case *ast.CommClause:
-			if cc.Comm != nil {
-				branch, _ = bs.scanStmt(cc.Comm, branch)
-			}
-			body = cc.Body
-		default:
-			continue
-		}
-		clHeld, clTerm := bs.scanStmts(body, branch)
-		if !clTerm {
-			out = unionLocks(out, clHeld)
-		}
-	}
-	return out, false
-}
-
-// scanNode applies lock operations and call-site recording over one
-// expression or simple statement, returning the updated held set.
-func (bs *bodyScan) scanNode(nd ast.Node, held []lockClass) []lockClass {
-	if nd == nil {
-		return held
-	}
-	lg, n := bs.lg, bs.n
+	n := lg.cur
 	ast.Inspect(nd, func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.FuncLit:
-			lg.scanBody(n, x.Body, nil, bs.inGo)
 			return false
-		case *ast.GoStmt:
-			if lit, ok := x.Call.Fun.(*ast.FuncLit); ok {
-				lg.scanBody(n, lit.Body, nil, true)
-			}
-			return false // direct `go f()`: concurrent, nothing held across it
-		case *ast.DeferStmt:
-			bs.deferred[x.Call] = true
 		case *ast.CallExpr:
 			if class, method, ok := lg.lockOp(n, x); ok {
 				switch method {
 				case "Lock", "RLock":
-					for _, h := range held {
+					for _, h := range st.held {
 						lg.addEdge(h, class, lockEdge{pos: x.Pos(), fn: n.Name()})
 					}
-					held = append(held, class)
-					if !bs.inGo {
+					st.held = append(st.held, class)
+					if !st.inGo {
 						if lg.acquire[n] == nil {
 							lg.acquire[n] = map[lockClass]bool{}
 						}
 						lg.acquire[n][class] = true
 					}
 				case "Unlock", "RUnlock":
-					if bs.deferred[x] {
+					if lg.deferred[x] {
 						return true // lock stays held to function end
 					}
-					for i := len(held) - 1; i >= 0; i-- {
-						if held[i] == class {
-							held = append(held[:i], held[i+1:]...)
-							break
-						}
+					if i := slices.Index(st.held, class); i >= 0 {
+						st.held = slices.Delete(st.held, i, i+1)
 					}
 				}
 				return true
 			}
-			if len(held) > 0 && !bs.inGo {
+			if len(st.held) > 0 && !st.inGo {
 				for _, callee := range lg.pass.Graph.Callees(x) {
 					lg.calls[n] = append(lg.calls[n], lockCallSite{
 						callee: callee,
-						held:   cloneLocks(held),
+						held:   slices.Clone(st.held),
 						pos:    x.Pos(),
 					})
 				}
@@ -395,7 +242,7 @@ func (bs *bodyScan) scanNode(nd ast.Node, held []lockClass) []lockClass {
 		}
 		return true
 	})
-	return held
+	return st
 }
 
 // lockOp matches <expr>.<muField>.<Lock|RLock|Unlock|RUnlock>() where
@@ -483,32 +330,22 @@ func (lg *lockGrapher) report() {
 	// connected component once, unless a declared-order violation inside it
 	// already told the story.
 	for _, scc := range lockSCCs(lg.edges) {
-		if len(scc) < 2 {
-			continue
-		}
-		inSCC := map[lockClass]bool{}
-		for _, c := range scc {
-			inSCC[c] = true
-		}
 		explained := false
 		for pair := range violated {
-			if inSCC[pair[0]] && inSCC[pair[1]] {
-				explained = true
-				break
-			}
+			explained = explained || scc[pair[0]] && scc[pair[1]]
 		}
 		if explained {
 			continue
 		}
-		sort.Slice(scc, func(i, j int) bool { return scc[i].String() < scc[j].String() })
-		names := make([]string, 0, len(scc))
-		for _, c := range scc {
+		var names []string
+		for c := range scc {
 			names = append(names, c.String())
 		}
+		sort.Strings(names)
 		// Witness: the first recorded edge inside the component.
 		var w lockEdge
 		for _, e := range all {
-			if inSCC[e.from] && inSCC[e.to] {
+			if scc[e.from] && scc[e.to] {
 				w = e.w
 				break
 			}
@@ -517,72 +354,38 @@ func (lg *lockGrapher) report() {
 	}
 }
 
-// lockSCCs computes strongly connected components of the class graph
-// (iterative Tarjan).
-func lockSCCs(edges map[lockClass]map[lockClass]lockEdge) [][]lockClass {
-	var nodes []lockClass
-	seen := map[lockClass]bool{}
-	add := func(c lockClass) {
-		if !seen[c] {
-			seen[c] = true
-			nodes = append(nodes, c)
-		}
-	}
-	for from, tos := range edges {
-		add(from)
-		for to := range tos {
-			add(to)
-		}
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].String() < nodes[j].String() })
-
-	index := map[lockClass]int{}
-	low := map[lockClass]int{}
-	onStack := map[lockClass]bool{}
-	var stack []lockClass
-	var sccs [][]lockClass
-	next := 0
-
-	var strongconnect func(v lockClass)
-	strongconnect = func(v lockClass) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		var succs []lockClass
-		for to := range edges[v] {
-			succs = append(succs, to)
-		}
-		sort.Slice(succs, func(i, j int) bool { return succs[i].String() < succs[j].String() })
-		for _, w := range succs {
-			if _, ok := index[w]; !ok {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []lockClass
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
+// lockSCCs returns the lock-order cycles: the class graph's strongly
+// connected components, each the set of classes that reach one another (a
+// class is on a cycle when it reaches itself; addEdge drops self-edges).
+func lockSCCs(edges map[lockClass]map[lockClass]lockEdge) []map[lockClass]bool {
+	reach := map[lockClass]map[lockClass]bool{}
+	for from := range edges {
+		seen := map[lockClass]bool{}
+		for stack := []lockClass{from}; len(stack) > 0; {
+			c := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for to := range edges[c] {
+				if !seen[to] {
+					seen[to] = true
+					stack = append(stack, to)
 				}
 			}
-			sccs = append(sccs, scc)
 		}
+		reach[from] = seen
 	}
-	for _, v := range nodes {
-		if _, ok := index[v]; !ok {
-			strongconnect(v)
+	var sccs []map[lockClass]bool
+	done := map[lockClass]bool{}
+	for from := range edges {
+		if done[from] || !reach[from][from] {
+			continue
 		}
+		scc := map[lockClass]bool{}
+		for c := range reach[from] {
+			if reach[c][from] {
+				scc[c], done[c] = true, true
+			}
+		}
+		sccs = append(sccs, scc)
 	}
 	return sccs
 }

@@ -1,6 +1,6 @@
-// Package pkg is the atomicalign fixture: 64-bit fields fed to
-// sync/atomic must be 8-byte aligned under 32-bit layout and never mixed
-// with plain access.
+// Package pkg is the atomicalign fixture: a 64-bit sync/atomic function
+// on a plain word is a finding, wherever the word sits; typed atomics and
+// the 32-bit functions are not.
 package pkg
 
 import "sync/atomic"
@@ -9,41 +9,40 @@ import "sync/atomic"
 // GOARCH=386 where int64 is only 4-byte aligned.
 type counters struct {
 	closed bool
-	n      int64 // want "offset 4 under 32-bit layout"
+	n      int64
 	spare  int64
 }
 
 func (c *counters) bump() {
-	atomic.AddInt64(&c.n, 1)
+	atomic.AddInt64(&c.n, 1) // want `atomic.AddInt64 on a plain int64; use atomic.Int64`
 }
 
 func (c *counters) read() int64 {
-	return atomic.LoadInt64(&c.n)
+	return atomic.LoadInt64(&c.n) // want `atomic.LoadInt64 on a plain int64; use atomic.Int64`
 }
 
 func (c *counters) mixed() int64 {
-	return c.n // want "plain access to field n"
+	return c.n
 }
 
-func (c *counters) mixedWrite() {
-	c.n = 0 // want "plain access to field n"
-}
-
-// aligned keeps the atomic word first: no finding.
+// aligned keeps the atomic word first, which is still a plain word.
 type aligned struct {
 	n      uint64
 	closed bool
 }
 
 func (a *aligned) bump() uint64 {
-	return atomic.AddUint64(&a.n, 1)
+	return atomic.AddUint64(&a.n, 1) // want `atomic.AddUint64 on a plain uint64; use atomic.Uint64`
 }
 
-// plainOnly is never touched by sync/atomic, so layout and plain access
-// are unconstrained.
-type plainOnly struct {
+// typed uses the typed atomics and a 32-bit function: no finding.
+type typed struct {
 	closed bool
-	n      int64
+	n      atomic.Int64
+	flags  int32
 }
 
-func (p *plainOnly) incr() { p.n++ }
+func (t *typed) bump() int64 {
+	atomic.AddInt32(&t.flags, 1)
+	return t.n.Add(1)
+}
