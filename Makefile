@@ -30,17 +30,19 @@ tier1-obs:
 # tier1-replica is the read-replica gate (DESIGN.md §4.13): the read-only
 # LSM view suite (refresh, prune-race retry, injected NotFounds, shared-
 # object ownership), the writer-vs-replica query-identity fuzz, the typed
-# ErrReadOnly matrix and catalog protocol tests, the HTTP fan-out suite,
-# and a torture subset with the concurrent replica riding every kill
-# schedule — all under the race detector.
+# ErrReadOnly matrix and catalog protocol tests, the replica's HTTP write
+# refusal, and a torture subset with the concurrent replica riding every
+# kill schedule — all under the race detector.
 tier1-replica:
 	$(GO) test -race -count=1 ./internal/lsm -run 'TestReadOnly|TestRefresh|TestViewRefreshJournal|TestReplicaNeverDeletes'
 	$(GO) test -race -count=1 ./internal/core -run 'TestReplica|TestWriterReplicaIdentityFuzz|TestCatalogRoundTrip|TestRefreshOnWriterErrors'
-	$(GO) test -race -count=1 ./internal/remote -run 'TestFanout|TestReplicaMutationsForbiddenOverHTTP'
+	$(GO) test -race -count=1 ./internal/remote -run 'TestReplicaMutationsForbiddenOverHTTP'
 	TORTURE_SCHEDULES=12 TORTURE_SEED=20260807 $(GO) test -race -count=1 ./internal/core -run TestCompactionKillTorture
 
-# tier1-iter is the streaming read-path gate: the iterator contract and
-# streaming==materializing identity under the race detector, the selector
+# tier1-iter is the streaming read-path gate: the iterator contract,
+# streaming==materializing identity, and the materializer's concurrent
+# sets on one id cursor (identity at 1, 2 and 8 workers, error naming,
+# cancellation) under the race detector, the selector
 # path (index and matchers) under the race detector, the pooling contract
 # under the race detector with buffer poisoning and cache integrity checks
 # on, and bounded fuzz passes over the merge iterator, batch-vs-streaming
@@ -51,7 +53,7 @@ tier1-replica:
 # DESIGN.md §4.10) run in plain `go test ./...`.
 tier1-iter:
 	$(GO) test -race -count=1 ./internal/chunkenc ./internal/lsm ./internal/index ./internal/labels
-	$(GO) test -race -count=1 ./internal/core -run 'TestStreaming|TestNarrowRange|TestConcurrentSeriesSetNoBleed|TestReleasedIteratorPoisonInvisible'
+	$(GO) test -race -count=1 ./internal/core -run 'TestStreaming|TestNarrowRange|TestConcurrentSeriesSetNoBleed|TestReleasedIteratorPoisonInvisible|TestQueryWorkersIdentical|TestQueryErrorNamesSeries|TestQueryContextCancel'
 	$(GO) test -count=1 ./internal/chunkenc -run '^$$' -fuzz FuzzMergeIterator -fuzztime 500x
 	$(GO) test -count=1 ./internal/chunkenc -run '^$$' -fuzz FuzzXORBatchIdentity -fuzztime 500x
 	$(GO) test -count=1 ./internal/chunkenc -run '^$$' -fuzz FuzzGroupSlotBatchIdentity -fuzztime 500x

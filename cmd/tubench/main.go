@@ -35,7 +35,6 @@ func main() {
 		hourMs          = flag.Int64("hourms", 60_000, "length of one logical hour in sample-time ms")
 		queries         = flag.Int("queries", 3, "query repetitions per pattern")
 		seed            = flag.Int64("seed", 2022, "workload seed")
-		parallel        = flag.Int("parallel", 0, "query worker pool size for the TimeUnion engines (0 = GOMAXPROCS, 1 = serial)")
 		parallelCompact = flag.Int("parallel-compact", 0, "LSM compaction executor pool size (0 = engine default; the compact experiment compares 1 vs this, defaulting to 4)")
 		faults          = flag.Float64("faults", 0, "per-op fault-injection probability for the cloud stores (0 = off)")
 		faultSeed       = flag.Int64("faultseed", 0, "fault-injection seed (0 = derive from -seed)")
@@ -57,7 +56,6 @@ func main() {
 		SpanHours:         *hours,
 		Seed:              *seed,
 		QueriesPerPattern: *queries,
-		Parallelism:       *parallel,
 		CompactionWorkers: *parallelCompact,
 		FaultProb:         *faults,
 		FaultSeed:         *faultSeed,

@@ -43,10 +43,6 @@ type Config struct {
 	Seed int64
 	// QueriesPerPattern controls query repetitions for latency medians.
 	QueriesPerPattern int
-	// Parallelism is the per-query worker count handed to the TimeUnion
-	// engines (core.Options.QueryConcurrency). 0 keeps the engine
-	// default; 1 forces the serial path for baseline comparisons.
-	Parallelism int
 	// FaultProb, when positive, wraps both simulated stores in a
 	// cloud.FaultStore injecting transient errors, spurious not-founds,
 	// torn writes, and latency spikes at roughly this per-operation rate —
@@ -292,7 +288,6 @@ func newTUEngine(ec engineConfig, name string) (*tuEngine, error) {
 		DynamicSizing:     ec.dynamic,
 		PatchThreshold:    ec.patchThreshold,
 		BlockSize:         4096,
-		QueryConcurrency:  ec.cfg.Parallelism,
 		CompactionWorkers: ec.cfg.CompactionWorkers,
 	})
 	if err != nil {
@@ -384,7 +379,6 @@ func newTUGroupEngine(ec engineConfig) (*tuGroupEngine, error) {
 		FastLimit:         ec.fastLimit,
 		DynamicSizing:     ec.dynamic,
 		BlockSize:         4096,
-		QueryConcurrency:  ec.cfg.Parallelism,
 		CompactionWorkers: ec.cfg.CompactionWorkers,
 	})
 	if err != nil {
@@ -471,14 +465,13 @@ func newTULDBEngine(ec engineConfig) (*tuLdbEngine, error) {
 		return nil, err
 	}
 	db, err := core.Open(core.Options{
-		Fast:             t.fast,
-		Slow:             slow,
-		CacheBytes:       1 << 30,
-		ChunkSamples:     ec.chunkSamples,
-		SlotsPerRegion:   2048,
-		SlotSize:         512,
-		Store:            store,
-		QueryConcurrency: ec.cfg.Parallelism,
+		Fast:           t.fast,
+		Slow:           slow,
+		CacheBytes:     1 << 30,
+		ChunkSamples:   ec.chunkSamples,
+		SlotsPerRegion: 2048,
+		SlotSize:       512,
+		Store:          store,
 	})
 	if err != nil {
 		store.Close()

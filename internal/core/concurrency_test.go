@@ -13,6 +13,7 @@ import (
 
 	"timeunion/internal/cloud"
 	"timeunion/internal/labels"
+	"timeunion/internal/lsm"
 )
 
 // TestConcurrentAppendAndQuery hammers the DB with parallel writers and
@@ -289,8 +290,11 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 }
 
 // TestQueryWorkersIdentical checks the acceptance property directly: on a
-// dataset spanning head, fast tier, and slow tier, the parallel query path
-// returns byte-identical results to the serial one for every range tried.
+// dataset spanning head, fast tier, and slow tier, the materializer returns
+// identical results at 1, 2 and 8 workers for every range tried. Group
+// members' labels sort among the individual series', so each group's
+// expansion lands between series other sets claimed, and one series has a
+// chunk overlapping the narrower ranges with every sample clipped.
 func TestQueryWorkersIdentical(t *testing.T) {
 	db := openTestDB(t, testOpts(""))
 	const series = 24
@@ -302,11 +306,46 @@ func TestQueryWorkersIdentical(t *testing.T) {
 		}
 		ids[i] = id
 	}
+	type group struct {
+		gid   uint64
+		slots []int
+		vals  []float64
+	}
+	groups := make([]group, 3)
+	members := 0
+	for g := range groups {
+		uniques := make([]labels.Labels, 2+2*g)
+		for m := range uniques {
+			uniques[m] = labels.FromStrings("core", fmt.Sprintf("c%02dg%d", (m*7+g*5)%series, g))
+		}
+		gid, slots, err := db.AppendGroup(labels.FromStrings("metric", "cpu", "group", fmt.Sprint(g)), uniques, 0, make([]float64, len(uniques)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups[g] = group{gid, slots, make([]float64, len(uniques))}
+		members += len(uniques)
+	}
+	// The sparse series has one chunk, [3000, 3990]: the range [3005, 3985]
+	// decodes it and clips both its samples.
+	sparse := []int64{3_000, 3_990}
+	for _, ts := range sparse {
+		if _, err := db.Append(labels.FromStrings("metric", "cpu", "core", "sparse"), ts, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// Span many L0/L2 partitions (lengths 1000/4000 in testOpts) so ChunksFor
 	// touches both tiers, then leave a tail in the head.
 	for ts := int64(10); ts <= 20_000; ts += 10 {
 		for _, id := range ids {
 			if err := db.AppendFast(id, ts, float64(ts%97)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for g, gr := range groups {
+			for m := range gr.vals {
+				gr.vals[m] = float64(ts%89 + int64(g*10+m))
+			}
+			if err := db.AppendGroupFast(gr.gid, gr.slots, ts, gr.vals); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -318,7 +357,7 @@ func TestQueryWorkersIdentical(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	ranges := [][2]int64{{0, 20_000}, {3_500, 9_000}, {15_990, 20_000}, {19_999, 30_000}}
+	ranges := [][2]int64{{0, 20_000}, {3_500, 9_000}, {3_005, 3_985}, {15_990, 20_000}, {19_999, 30_000}}
 	for _, r := range ranges {
 		serial, err := db.QueryWorkers(ctx, 1, r[0], r[1], labels.MustEqual("metric", "cpu"))
 		if err != nil {
@@ -333,15 +372,21 @@ func TestQueryWorkersIdentical(t *testing.T) {
 				t.Fatalf("range %v: %d-worker result differs from serial", r, workers)
 			}
 		}
-		if len(serial) != series {
-			t.Fatalf("range %v: matched %d series, want %d", r, len(serial), series)
+		want := series + members
+		if sparse[0] >= r[0] && sparse[0] <= r[1] || sparse[1] >= r[0] && sparse[1] <= r[1] {
+			want++
+		}
+		if len(serial) != want {
+			t.Fatalf("range %v: matched %d series, want %d", r, len(serial), want)
 		}
 	}
 }
 
 // TestQueryErrorNamesSeries arms a read failure on both tiers after data has
 // been flushed out of the head and checks the query error names the series
-// id that hit it, from both the serial and the parallel path.
+// id that hit it, from both the serial and the parallel path. A corrupt
+// chunk, which locates fine and fails to decode, must name its id through
+// the materializer and through a series set alike.
 func TestQueryErrorNamesSeries(t *testing.T) {
 	opts := testOpts("")
 	fast := &readFailStore{Store: opts.Fast}
@@ -374,6 +419,40 @@ func TestQueryErrorNamesSeries(t *testing.T) {
 			t.Fatalf("%d workers: error %q does not name the series (%q)", workers, err, want)
 		}
 	}
+
+	fast.fail.Store(false)
+	slow.fail.Store(false)
+	db.store = corruptChunkStore{db.store}
+	want = fmt.Sprintf("query id %d", id)
+	for _, workers := range []int{1, 4} {
+		_, err := db.QueryWorkers(context.Background(), workers, 0, 20_000, labels.MustEqual("m", "x"))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%d workers: corrupt chunk gave %v, want an error naming %q", workers, err, want)
+		}
+	}
+	set, err := db.QuerySeriesSet(context.Background(), 0, 20_000, labels.MustEqual("m", "x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for set.Next() {
+		t.Fatal("series set yielded a series whose every chunk is corrupt")
+	}
+	if err := set.Err(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("series set: corrupt chunk gave %v, want an error naming %q", err, want)
+	}
+}
+
+// corruptChunkStore serves every chunk with its payload cut in half: the
+// tuple envelope still locates and prunes it, its decode fails.
+type corruptChunkStore struct{ ChunkStore }
+
+func (c corruptChunkStore) ChunksForInto(buf []lsm.ChunkRef, id uint64, mint, maxt int64) ([]lsm.ChunkRef, error) {
+	chunks, err := c.ChunkStore.ChunksForInto(buf, id, mint, maxt)
+	for i := range chunks {
+		v := chunks[i].Value
+		chunks[i].Value = append([]byte(nil), v[:len(v)/2]...)
+	}
+	return chunks, err
 }
 
 // TestQueryContextCancel: a cancelled context aborts the query on both

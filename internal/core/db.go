@@ -94,13 +94,6 @@ type Options struct {
 	// Refresh deterministically.
 	ReplicaRefreshInterval time.Duration
 
-	// QueryConcurrency bounds the worker pool a Query fans its matched
-	// series/group ids out over. 0 means runtime.GOMAXPROCS(0); 1 runs
-	// the serial path. Each worker independently fetches chunks from the
-	// LSM/cloud tiers, so on a slow-tier-heavy selector the workers
-	// overlap object-store latencies.
-	QueryConcurrency int
-
 	// Store overrides the chunk store (used by the TU-LDB baseline).
 	// When nil the time-partitioned LSM-tree is built from the options
 	// above.
@@ -493,172 +486,67 @@ type Series struct {
 
 // Query evaluates tag selectors over [mint, maxt] (§3.4 Get): the inverted
 // index resolves the selectors to series/group IDs; samples are merged from
-// the head's open chunks and the chunk store. Matched ids are fanned out
-// over a bounded worker pool sized by Options.QueryConcurrency.
+// the head's open chunks and the chunk store. It drains GOMAXPROCS series
+// sets over the matched ids (QueryWorkers).
 func (db *DB) Query(mint, maxt int64, matchers ...*labels.Matcher) ([]Series, error) {
 	return db.QueryContext(context.Background(), mint, maxt, matchers...)
 }
 
 // QueryContext is Query with cancellation: the first failing series aborts
-// the whole query, and a cancelled context stops workers early.
+// the whole query, and a cancelled context stops the sets early.
 func (db *DB) QueryContext(ctx context.Context, mint, maxt int64, matchers ...*labels.Matcher) ([]Series, error) {
-	return db.QueryWorkers(ctx, db.opts.QueryConcurrency, mint, maxt, matchers...)
+	return db.QueryWorkers(ctx, 0, mint, maxt, matchers...)
 }
 
-// QueryWorkers evaluates a query with an explicit worker count, overriding
-// Options.QueryConcurrency (0 = runtime.GOMAXPROCS(0), 1 = serial). The
-// result is identical to the serial path regardless of worker count:
-// per-id results are collected in index order before the final label sort.
+// QueryWorkers materializes a query by draining workers series sets
+// (0 = runtime.GOMAXPROCS(0)), one goroutine each; one set runs inline.
+// The sets claim matched ids from one shared cursor, so adjacent ids, which
+// share sstable blocks, are fetched concurrently. Each id's series land
+// under its index position before the final label sort, so the result is
+// identical for every worker count. The first error cancels the other
+// sets and is the one reported.
 func (db *DB) QueryWorkers(ctx context.Context, workers int, mint, maxt int64, matchers ...*labels.Matcher) (out []Series, err error) {
-	tr := obs.TraceFrom(ctx)
-	if db.m != nil {
-		start := time.Now()
-		db.m.queries.Inc()
-		defer func() {
-			db.m.queryLat.Observe(time.Since(start))
-			if err != nil {
-				db.m.queryErrs.Inc()
-			}
-		}()
-	}
-	// Tier byte attribution: delta the stores' own read accounting around
-	// the query. Exact for a lone query; concurrent queries' reads land in
-	// whichever trace is open, which is the documented approximation.
-	var fast0, slow0, hits0, miss0 uint64
-	if tr != nil {
-		fast0 = db.opts.Fast.Stats().BytesRead
-		slow0 = db.opts.Slow.Stats().BytesRead
-		hits0, miss0 = db.cache.HitRate()
-		defer func() {
-			tr.SetTierBytes("fast", int64(db.opts.Fast.Stats().BytesRead-fast0))
-			tr.SetTierBytes("slow", int64(db.opts.Slow.Stats().BytesRead-slow0))
-			h1, m1 := db.cache.HitRate()
-			tr.SetCache(h1-hits0, m1-miss0)
-		}()
-	}
-
-	sel := tr.StartSpan("index_select")
-	ids, err := db.head.Index().Select(matchers...)
-	sel.End()
-	if err != nil {
+	run := new(queryRun)
+	if err := db.startQuery(run, ctx, mint, maxt, matchers); err != nil {
 		return nil, err
 	}
+	defer func() { run.finish(err) }()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(ids) {
-		workers = len(ids)
+	sets := make([]querySeriesSet, max(1, min(workers, len(run.ids))))
+	for i := range sets {
+		sets[i].init(run, db.onDecode(&sets[i].decoded))
 	}
-	perID := make([][]Series, len(ids))
-	if workers <= 1 {
-		for i, id := range ids {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			res, err := db.queryID(tr, id, mint, maxt, matchers)
-			if err != nil {
-				return nil, err
-			}
-			perID[i] = res
+	perID := make([][]Series, len(run.ids))
+	if len(sets) == 1 {
+		err = sets[0].drainInto(perID)
+	} else {
+		// A failing set cancels the others with its error as the cause,
+		// so the cause, not the cancellations it triggered, is reported.
+		wctx, cancel := context.WithCancelCause(ctx)
+		run.ctx = wctx
+		var wg sync.WaitGroup
+		for i := range sets {
+			wg.Add(1)
+			go func(s *querySeriesSet) {
+				defer wg.Done()
+				if err := s.drainInto(perID); err != nil {
+					cancel(err)
+				}
+			}(&sets[i])
 		}
-	} else if err := db.queryParallel(ctx, workers, ids, perID, mint, maxt, matchers); err != nil {
+		wg.Wait()
+		err = context.Cause(wctx)
+		cancel(nil)
+	}
+	if err != nil {
 		return nil, err
 	}
 	for _, res := range perID {
 		out = append(out, res...)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Labels.Compare(out[j].Labels) < 0 })
-	return out, nil
-}
-
-// queryParallel fans ids out over a fixed pool of workers filling perID in
-// place. The first error cancels the remaining work (first-error-wins).
-func (db *DB) queryParallel(parent context.Context, workers int, ids []uint64, perID [][]Series, mint, maxt int64, matchers []*labels.Matcher) error {
-	tr := obs.TraceFrom(parent)
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		errMu.Unlock()
-	}
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if ctx.Err() != nil {
-					continue // drain after cancellation
-				}
-				res, err := db.queryID(tr, ids[i], mint, maxt, matchers)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				perID[i] = res
-			}
-		}()
-	}
-feed:
-	for i := range ids {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return parent.Err()
-}
-
-// queryID evaluates one matched id by building the lazy iterator pipeline
-// (seriesEntries/groupEntries) and draining it into sample slices. The
-// drain is the only place chunk payloads decode, so the decode span
-// brackets it and carries the decoded-byte count.
-func (db *DB) queryID(tr *obs.Trace, id uint64, mint, maxt int64, matchers []*labels.Matcher) ([]Series, error) {
-	var decoded int64
-	sc := getQueryScratch()
-	defer putQueryScratch(sc)
-	entries, err := db.entriesFor(tr, id, mint, maxt, matchers, db.onDecode(&decoded), sc.entries[:0], sc)
-	if err != nil {
-		return nil, err
-	}
-	sc.entries = entries
-	sp := tr.StartSpan("decode")
-	var out []Series
-	for i, e := range entries {
-		samples, derr := drainPairs(e.Iterator)
-		chunkenc.ReleaseIterator(e.Iterator)
-		if derr != nil {
-			for _, rest := range entries[i+1:] {
-				chunkenc.ReleaseIterator(rest.Iterator)
-			}
-			err = fmt.Errorf("core: query id %d: %w", id, derr)
-			break
-		}
-		if len(samples) == 0 {
-			continue
-		}
-		out = append(out, Series{Labels: e.Labels, Samples: samples})
-	}
-	sp.AddBytes(decoded)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 

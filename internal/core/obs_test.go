@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"runtime"
 	"sync"
@@ -16,18 +17,21 @@ import (
 // TestQueryTraceE2E runs a traced serial query end to end and checks the
 // trace invariants from the ISSUE acceptance criteria: every stage's total
 // is bounded by the trace duration, and the per-tier byte attribution
-// matches the stores' own Stats counters exactly (lone query).
+// matches the stores' own Stats counters exactly (lone query). A traced
+// series set drained to the end is charged the same way.
 func TestQueryTraceE2E(t *testing.T) {
 	opts := testOpts(t.TempDir())
 	db := openTestDB(t, opts)
 
-	id, err := db.Append(labels.FromStrings("metric", "cpu", "host", "a"), 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ts := int64(10); ts < 5000; ts += 10 {
-		if err := db.AppendFast(id, ts, float64(ts)); err != nil {
+	for _, metric := range []string{"cpu", "mem"} {
+		id, err := db.Append(labels.FromStrings("metric", metric, "host", "a"), 0, 0)
+		if err != nil {
 			t.Fatal(err)
+		}
+		for ts := int64(10); ts < 5000; ts += 10 {
+			if err := db.AppendFast(id, ts, float64(ts)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := db.Flush(); err != nil {
@@ -71,18 +75,119 @@ func TestQueryTraceE2E(t *testing.T) {
 			t.Errorf("stage %q missing from trace (have %v)", want, stages)
 		}
 	}
+	checkTierBytes(t, "QueryWorkers", tr, opts, fast0, slow0)
 
+	// The other series' blocks are still cold: a streamed query of it
+	// reads the tiers again.
+	fast0 = opts.Fast.Stats().BytesRead
+	slow0 = opts.Slow.Stats().BytesRead
+	tr = obs.NewTrace("e2e-stream")
+	set, err := db.QuerySeriesSet(obs.ContextWithTrace(context.Background(), tr), 0, 5000, labels.MustEqual("metric", "mem"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for set.Next() {
+		for it := set.At().Iterator; it.Next(); {
+			n++
+		}
+	}
+	if err := set.Err(); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	if n != 500 {
+		t.Fatalf("streamed %d samples, want 500", n)
+	}
+	checkTierBytes(t, "QuerySeriesSet", tr, opts, fast0, slow0)
+}
+
+// checkTierBytes compares a finished query's trace with the stores' read
+// counters since fast0 and slow0.
+func checkTierBytes(t *testing.T, path string, tr *obs.Trace, opts Options, fast0, slow0 uint64) {
+	t.Helper()
 	fastDelta := int64(opts.Fast.Stats().BytesRead - fast0)
 	slowDelta := int64(opts.Slow.Stats().BytesRead - slow0)
 	if got := tr.TierBytes("fast"); got != fastDelta {
-		t.Errorf("trace fast-tier bytes = %d, store counted %d", got, fastDelta)
+		t.Errorf("%s: trace fast-tier bytes = %d, store counted %d", path, got, fastDelta)
 	}
 	if got := tr.TierBytes("slow"); got != slowDelta {
-		t.Errorf("trace slow-tier bytes = %d, store counted %d", got, slowDelta)
+		t.Errorf("%s: trace slow-tier bytes = %d, store counted %d", path, got, slowDelta)
 	}
 	if fastDelta+slowDelta == 0 {
-		t.Error("query read zero bytes from both tiers; attribution not exercised")
+		t.Errorf("%s: query read zero bytes from both tiers; attribution not exercised", path)
 	}
+}
+
+// TestQueryAccounting: timeunion_db_query_seconds counts one per Query and
+// one per series set drained to the end, nothing for a Next after the end,
+// and a failed query counts once in timeunion_db_query_errors_total.
+func TestQueryAccounting(t *testing.T) {
+	db := openTestDB(t, testOpts(""))
+	for i := 0; i < 3; i++ {
+		id, err := db.Append(labels.FromStrings("metric", "cpu", "core", fmt.Sprint(i)), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ts := int64(10); ts <= 5000; ts += 10 {
+			if err := db.AppendFast(id, ts, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sel := labels.MustEqual("metric", "cpu")
+	check := func(step string, queries, errs uint64) {
+		t.Helper()
+		m := db.m
+		if got := m.queries.Value(); got != queries {
+			t.Errorf("%s: queries_total = %d, want %d", step, got, queries)
+		}
+		if got := m.queryLat.Count(); got != queries {
+			t.Errorf("%s: query_seconds count = %d, want %d", step, got, queries)
+		}
+		if got := m.queryErrs.Value(); got != errs {
+			t.Errorf("%s: query_errors_total = %d, want %d", step, got, errs)
+		}
+	}
+
+	if _, err := db.Query(0, 5000, sel); err != nil {
+		t.Fatal(err)
+	}
+	check("Query", 1, 0)
+
+	set, err := db.QuerySeriesSet(context.Background(), 0, 5000, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for set.Next() {
+	}
+	if err := set.Err(); err != nil {
+		t.Fatal(err)
+	}
+	check("drained set", 2, 0)
+	if set.Next() {
+		t.Fatal("Next after exhaustion yielded a series")
+	}
+	check("Next after exhaustion", 2, 0)
+
+	db.store = corruptChunkStore{db.store}
+	if _, err := db.Query(0, 5000, sel); err == nil {
+		t.Fatal("corrupt chunks did not fail Query")
+	}
+	check("failed Query", 3, 1)
+	set, err = db.QuerySeriesSet(context.Background(), 0, 5000, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for set.Next() {
+	}
+	if set.Err() == nil || set.Next() {
+		t.Fatal("corrupt chunks did not end the set with an error")
+	}
+	check("failed set", 4, 2)
 }
 
 // The overhead guards below share one ingest shape: ingestGoroutines

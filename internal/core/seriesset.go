@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"timeunion/internal/chunkenc"
 	"timeunion/internal/index"
@@ -47,14 +49,12 @@ type SeriesSet interface {
 }
 
 // queryScratch pools the per-query gather buffers of the read pipeline:
-// the located chunk list, the ranked merge sources built from it, and (for
-// the materializing path) the entry list itself. The backing arrays are
-// reused across series within one query; their elements are copied or
-// handed off before the next reuse, never retained.
+// the located chunk list and the ranked merge sources built from it. The
+// backing arrays are reused across series within one set; their elements
+// are copied or handed off before the next reuse, never retained.
 type queryScratch struct {
-	chunks  []lsm.ChunkRef
-	srcs    []chunkenc.RankedIterator
-	entries []SeriesEntry
+	chunks []lsm.ChunkRef
+	srcs   []chunkenc.RankedIterator
 }
 
 var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -73,65 +73,122 @@ func putQueryScratch(sc *queryScratch) {
 	for i := range srcs {
 		srcs[i] = chunkenc.RankedIterator{}
 	}
-	entries := sc.entries[:cap(sc.entries)]
-	for i := range entries {
-		entries[i] = SeriesEntry{}
-	}
-	sc.chunks, sc.srcs, sc.entries = chunks[:0], srcs[:0], entries[:0]
+	sc.chunks, sc.srcs = chunks[:0], srcs[:0]
 	queryScratchPool.Put(sc)
+}
+
+// queryRun is one query: its matched ids, the cursor that hands them out to
+// the query's series sets, and its accounting. startQuery opens it and
+// finish closes it, once.
+type queryRun struct {
+	db       *DB
+	ctx      context.Context
+	tr       *obs.Trace
+	ids      []uint64
+	next     atomic.Int64 // index into ids of the next unclaimed id
+	mint     int64
+	maxt     int64
+	matchers []*labels.Matcher
+	start    time.Time
+	// Tier and cache counters at the start, read only when traced.
+	fast0, slow0, hits0, miss0 uint64
+}
+
+// startQuery counts the query, resolves its selectors through the inverted
+// index and, when ctx carries a trace, snapshots the stores' read counters
+// that finish charges the trace from. A failed select finishes the run.
+func (db *DB) startQuery(r *queryRun, ctx context.Context, mint, maxt int64, matchers []*labels.Matcher) error {
+	r.db, r.ctx, r.tr = db, ctx, obs.TraceFrom(ctx)
+	r.mint, r.maxt, r.matchers = mint, maxt, matchers
+	r.start = time.Now()
+	if db.m != nil {
+		db.m.queries.Inc()
+	}
+	if r.tr != nil {
+		r.fast0 = db.opts.Fast.Stats().BytesRead
+		r.slow0 = db.opts.Slow.Stats().BytesRead
+		r.hits0, r.miss0 = db.cache.HitRate()
+	}
+	sel := r.tr.StartSpan("index_select")
+	ids, err := db.head.Index().Select(matchers...)
+	sel.End()
+	if err != nil {
+		r.finish(err)
+		return err
+	}
+	r.ids = ids
+	return nil
+}
+
+// finish records the query's latency and error, and charges an attached
+// trace with the tier bytes and cache hits and misses since startQuery.
+// The stores' counters are global, so the attribution is exact for a lone
+// query; concurrent queries' reads land in whichever trace is open, which
+// is the documented approximation (DESIGN.md §4.7).
+func (r *queryRun) finish(err error) {
+	db := r.db
+	if db.m != nil {
+		db.m.queryLat.Observe(time.Since(r.start))
+		if err != nil {
+			db.m.queryErrs.Inc()
+		}
+	}
+	if r.tr != nil {
+		r.tr.SetTierBytes("fast", int64(db.opts.Fast.Stats().BytesRead-r.fast0))
+		r.tr.SetTierBytes("slow", int64(db.opts.Slow.Stats().BytesRead-r.slow0))
+		hits, misses := db.cache.HitRate()
+		r.tr.SetCache(hits-r.hits0, misses-r.miss0)
+	}
 }
 
 // QuerySeriesSet evaluates tag selectors over [mint, maxt] as a lazy
 // stream: the inverted index resolves the selectors up front, but chunks
 // are located per series as the caller advances and decoded only as each
-// series' iterator is consumed. Query/QueryContext/QueryWorkers remain the
-// materializing adapters over the same per-series pipeline.
+// series' iterator is consumed. Query/QueryContext/QueryWorkers drain sets
+// of the same kind.
+//
+// The query is accounted (latency histogram, error counter, an attached
+// trace's tier bytes and cache deltas) once, when the set ends by
+// exhaustion or by error. A set the caller abandons before either is never
+// accounted.
 func (db *DB) QuerySeriesSet(ctx context.Context, mint, maxt int64, matchers ...*labels.Matcher) (SeriesSet, error) {
-	tr := obs.TraceFrom(ctx)
-	if db.m != nil {
-		db.m.queries.Inc()
-	}
-	sel := tr.StartSpan("index_select")
-	ids, err := db.head.Index().Select(matchers...)
-	sel.End()
-	if err != nil {
-		if db.m != nil {
-			db.m.queryErrs.Inc()
-		}
+	s := new(querySeriesSet)
+	if err := db.startQuery(&s.own, ctx, mint, maxt, matchers); err != nil {
 		return nil, err
 	}
-	return &querySeriesSet{
-		db: db, ctx: ctx, tr: tr,
-		ids: ids, mint: mint, maxt: maxt, matchers: matchers,
-		onDec: db.onDecode(nil),
-		sc:    getQueryScratch(),
-	}, nil
+	s.init(&s.own, db.onDecode(nil))
+	return s, nil
 }
 
+// querySeriesSet is the one per-id evaluation loop. Each Next claims ids
+// from its run's shared cursor until one yields a non-empty series, so
+// several sets over one run split its ids between them (QueryWorkers).
 type querySeriesSet struct {
-	db       *DB
-	ctx      context.Context
-	tr       *obs.Trace
-	ids      []uint64
-	idx      int
-	pending  []SeriesEntry
-	buf      []SeriesEntry // reusable entriesFor backing; pending drains before reuse
-	sc       *queryScratch // per-query gather buffers; returned to the pool on exhaustion
-	onDec    func(int)
-	cur      SeriesEntry
-	mint     int64
-	maxt     int64
-	matchers []*labels.Matcher
-	err      error
+	run     *queryRun
+	own     queryRun // a standalone set's run (run == &own); the set finishes it
+	id      uint64   // the id the pending and current entries belong to
+	idx     int      // id's position in run.ids
+	pending []SeriesEntry
+	buf     []SeriesEntry // reusable entriesFor backing; pending drains before reuse
+	sc      *queryScratch // gather buffers; nil once the set has ended
+	onDec   func(int)
+	decoded int64 // payload bytes decoded, when onDec counts into it
+	cur     SeriesEntry
+	err     error
+}
+
+func (s *querySeriesSet) init(run *queryRun, onDec func(int)) {
+	s.run, s.onDec, s.sc = run, onDec, getQueryScratch()
 }
 
 func (s *querySeriesSet) Next() bool {
-	if s.err != nil {
+	if s.sc == nil {
 		return false
 	}
 	// The previous entry's iterator expires now (see SeriesSet): recycle
 	// its pooled buffers.
 	s.releaseCur()
+	r := s.run
 	for {
 		// Drain entries already located, peeking one sample so empty
 		// series (all samples clipped or superseded) are dropped.
@@ -139,46 +196,60 @@ func (s *querySeriesSet) Next() bool {
 			e := s.pending[0]
 			s.pending[0] = SeriesEntry{}
 			s.pending = s.pending[1:]
-			if q, ok := e.Iterator.(*chunkenc.QueryIterator); ok {
-				if q.PeekNonEmpty() {
-					s.cur = e
-					return true
-				}
-				err := q.Err()
-				q.Release()
-				if err != nil {
-					s.fail(err)
-					return false
-				}
-				continue
-			}
-			if p, ok := chunkenc.NewPeekedIterator(e.Iterator); ok {
-				s.cur = SeriesEntry{Labels: e.Labels, Iterator: p}
+			q := e.Iterator.(*chunkenc.QueryIterator) // entriesFor builds no other kind
+			if q.PeekNonEmpty() {
+				s.cur = e
 				return true
 			}
-			if err := e.Iterator.Err(); err != nil {
-				s.fail(err)
+			err := q.Err()
+			q.Release()
+			if err != nil {
+				s.end(s.idError(err))
 				return false
 			}
 		}
-		if s.idx >= len(s.ids) {
-			s.releaseScratch()
+		i := int(r.next.Add(1) - 1)
+		if i >= len(r.ids) {
+			s.end(nil)
 			return false
 		}
-		if err := s.ctx.Err(); err != nil {
-			s.fail(err)
+		if err := r.ctx.Err(); err != nil {
+			s.end(err)
 			return false
 		}
-		id := s.ids[s.idx]
-		s.idx++
-		entries, err := s.db.entriesFor(s.tr, id, s.mint, s.maxt, s.matchers, s.onDec, s.buf[:0], s.sc)
+		s.id, s.idx = r.ids[i], i
+		entries, err := r.db.entriesFor(r.tr, s.id, r.mint, r.maxt, r.matchers, s.onDec, s.buf[:0], s.sc)
 		if err != nil {
-			s.fail(err)
+			s.end(err)
 			return false
 		}
 		s.pending = entries
 		s.buf = entries
 	}
+}
+
+// drainInto materializes the rest of the set: each series goes to
+// perID[idx] under the position of the id it came from, so any number of
+// sets sharing one run fill perID identically. The decode span brackets
+// each series' drain and carries its decoded bytes.
+func (s *querySeriesSet) drainInto(perID [][]Series) error {
+	for s.Next() {
+		sp := s.run.tr.StartSpan("decode")
+		samples, err := drainPairs(s.cur.Iterator)
+		sp.AddBytes(s.decoded)
+		sp.End()
+		s.decoded = 0
+		if err != nil {
+			s.end(s.idError(err))
+			break
+		}
+		perID[s.idx] = append(perID[s.idx], Series{Labels: s.cur.Labels, Samples: samples})
+	}
+	return s.err
+}
+
+func (s *querySeriesSet) idError(err error) error {
+	return fmt.Errorf("core: query id %d: %w", s.id, err)
 }
 
 func (s *querySeriesSet) releaseCur() {
@@ -188,28 +259,20 @@ func (s *querySeriesSet) releaseCur() {
 	}
 }
 
-// releaseScratch returns the gather buffers to the pool once, when the set
-// can no longer locate series (exhaustion or error). An abandoned set never
-// releases; its buffers fall to the garbage collector instead.
-func (s *querySeriesSet) releaseScratch() {
-	if s.sc != nil {
-		putQueryScratch(s.sc)
-		s.sc = nil
-	}
-}
-
-func (s *querySeriesSet) fail(err error) {
+// end stops the set for good: it records err, releases every pooled buffer
+// the set still holds and, for a standalone set, accounts the query.
+func (s *querySeriesSet) end(err error) {
 	s.err = err
+	s.releaseCur()
 	for i, e := range s.pending {
-		if e.Iterator != nil {
-			chunkenc.ReleaseIterator(e.Iterator)
-		}
+		chunkenc.ReleaseIterator(e.Iterator)
 		s.pending[i] = SeriesEntry{}
 	}
 	s.pending = nil
-	s.releaseScratch()
-	if s.db.m != nil {
-		s.db.m.queryErrs.Inc()
+	putQueryScratch(s.sc)
+	s.sc = nil
+	if s.run == &s.own {
+		s.run.finish(err)
 	}
 }
 

@@ -13,11 +13,10 @@ import (
 //  2. A type declaring Next/At/Err in the contract shapes without a
 //     conforming Seek is a partial implementation and is flagged too.
 //  3. Seek(int64) bool may only be declared in internal/chunkenc. Other
-//     packages compose the chunkenc adapters (PeekedIterator,
-//     ChunkIterator, QueryIterator, SliceIterator, MergeIterator)
-//     instead. This is what lets the build run full go vet — stdmethods
-//     included — on every package but internal/chunkenc, whose Seek the
-//     vet exemption covers.
+//     packages compose the chunkenc adapters (ChunkIterator,
+//     QueryIterator, SliceIterator, MergeIterator) instead. This is what
+//     lets the build run full go vet — stdmethods included — on every
+//     package but internal/chunkenc, whose Seek the vet exemption covers.
 var SeekContract = &Analyzer{
 	Name: "seekcontract",
 	Doc:  "SampleIterator implementations must be complete, exactly typed, and live in internal/chunkenc",
@@ -108,7 +107,7 @@ func runSeekContract(pass *Pass) {
 		}
 
 		if contractSeek && !inChunkenc {
-			pass.Reportf(seek.decl.Name.Pos(), "Seek(int64) bool declared outside internal/chunkenc; compose chunkenc adapters (PeekedIterator, ChunkIterator, QueryIterator, ...) instead so the go vet stdmethods exemption stays scoped to internal/chunkenc")
+			pass.Reportf(seek.decl.Name.Pos(), "Seek(int64) bool declared outside internal/chunkenc; compose chunkenc adapters (ChunkIterator, QueryIterator, ...) instead so the go vet stdmethods exemption stays scoped to internal/chunkenc")
 		}
 	}
 }
