@@ -207,9 +207,9 @@ func Open(opts Options) (*DB, error) {
 			CompactionWorkers:         opts.CompactionWorkers,
 			Metrics:                   reg,
 			Journal:                   journal,
-			OnFlush: func(key encoding.Key, seq uint64) {
+			OnFlush: func(marks []wal.FlushMark) {
 				if h != nil {
-					h.OnChunkPersisted(key, seq)
+					h.OnFlush(marks)
 				}
 			},
 		})

@@ -476,14 +476,15 @@ func (h *Head) FlushOpenChunks() error {
 	return nil
 }
 
-// OnChunkPersisted is the LSM flush hook: it writes the WAL flush mark for
-// the chunk's embedded sequence (paper §3.3 "Logging").
-func (h *Head) OnChunkPersisted(key encoding.Key, seq uint64) {
+// OnFlush is the LSM flush hook: it writes one flush's WAL flush marks,
+// each the highest sequence embedded in a series' or group's flushed
+// chunks (paper §3.3 "Logging").
+func (h *Head) OnFlush(marks []wal.FlushMark) {
 	if h.opts.WAL == nil {
 		return
 	}
-	// Best effort: a failed mark only delays purging.
-	_ = h.opts.WAL.LogFlushMark(key.ID(), seq)
+	// Best effort: failed marks only delay purging.
+	_ = h.opts.WAL.LogFlushMarks(marks)
 }
 
 // SeriesLabels returns the tags of a series (immutable after creation).

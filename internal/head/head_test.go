@@ -484,7 +484,7 @@ func TestRecoverySkipsFlushedSamples(t *testing.T) {
 		h.AppendFast(id, int64(i)*10, float64(i))
 	}
 	// Chunk flushed at 4 samples; simulate the LSM's flush callback.
-	h.OnChunkPersisted(encoding.MakeKey(id, 0), 4)
+	h.OnFlush([]wal.FlushMark{{ID: id, Seq: 4}})
 	h.AppendFast(id, 100, 10) // one unflushed sample
 	w.Close()
 	h.Close()

@@ -37,6 +37,7 @@ import (
 	"timeunion/internal/obs"
 	"timeunion/internal/sstable"
 	"timeunion/internal/tuple"
+	"timeunion/internal/wal"
 )
 
 // Options configures the tree. Times are in the same unit as sample
@@ -96,9 +97,11 @@ type Options struct {
 	// reload the series catalog in the same beat).
 	RefreshInterval time.Duration
 
-	// OnFlush, if set, is called for every key-value pair as it is
-	// persisted to level 0 — the hook the WAL uses to write flush marks.
-	OnFlush func(key encoding.Key, seq uint64)
+	// OnFlush, if set, is called once per flush to level 0, after its
+	// manifest commit, with one mark per flushed series or group: the
+	// highest sequence embedded in its flushed chunks. It is the hook the
+	// WAL uses to write flush marks.
+	OnFlush func(marks []wal.FlushMark)
 
 	// Metrics, when non-nil, receives the tree's instruments
 	// (timeunion_lsm_*).
@@ -675,15 +678,20 @@ func (l *LSM) flushMemtable(m *memtable.MemTable) (err error) {
 
 	it := m.Iter(nil, nil)
 	var all []tuple.KV
-	var marks []tuple.KV // original kvs, for flush marks
+	var marks []wal.FlushMark // keys are in id order: one mark per id
 	for it.Next() {
 		key, err := encoding.ParseKey(it.Key())
 		if err != nil {
 			return fmt.Errorf("lsm: flush: %w", err)
 		}
 		val := append([]byte(nil), it.Value()...)
-		marks = append(marks, tuple.KV{Key: key, Value: val})
 		all = append(all, tuple.KV{Key: key, Value: val})
+		seq := tuple.SeqOf(val)
+		if n := len(marks); n > 0 && marks[n-1].ID == key.ID() {
+			marks[n-1].Seq = max(marks[n-1].Seq, seq)
+		} else {
+			marks = append(marks, wal.FlushMark{ID: key.ID(), Seq: seq})
+		}
 	}
 	entries = len(all)
 	byWindow, order, err := bucketByWindow(all, r1)
@@ -748,9 +756,7 @@ func (l *LSM) flushMemtable(m *memtable.MemTable) (err error) {
 	}
 
 	if l.opts.OnFlush != nil {
-		for _, kv := range marks {
-			l.opts.OnFlush(kv.Key, tuple.SeqOf(kv.Value))
-		}
+		l.opts.OnFlush(marks)
 	}
 	l.stats.flushes.Add(1)
 	return nil

@@ -12,6 +12,7 @@ import (
 	"timeunion/internal/encoding"
 	"timeunion/internal/memtable"
 	"timeunion/internal/tuple"
+	"timeunion/internal/wal"
 )
 
 // testEnv bundles an LSM with its two stores.
@@ -143,18 +144,21 @@ func TestFlushSplitsAcrossPartitions(t *testing.T) {
 
 func TestOnFlushMarks(t *testing.T) {
 	opts := smallOpts()
-	var marks []uint64
-	opts.OnFlush = func(key encoding.Key, seq uint64) {
-		marks = append(marks, seq)
+	var calls [][]wal.FlushMark
+	opts.OnFlush = func(marks []wal.FlushMark) {
+		calls = append(calls, marks)
 	}
 	env := newEnv(t, opts)
 	putSeries(t, env.l, 1, []chunkenc.Sample{{T: 100, V: 1}})
 	putSeries(t, env.l, 2, []chunkenc.Sample{{T: 100, V: 1}})
+	putSeries(t, env.l, 2, []chunkenc.Sample{{T: 5000, V: 1}})
 	if err := env.l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if len(marks) != 2 {
-		t.Fatalf("marks = %v", marks)
+	// One call per flush, one mark per series: series 2's two chunks
+	// share a mark.
+	if len(calls) != 1 || len(calls[0]) != 2 || calls[0][0].ID != 1 || calls[0][1].ID != 2 {
+		t.Fatalf("OnFlush calls = %v, want one call with marks for series 1 and 2", calls)
 	}
 }
 

@@ -42,6 +42,27 @@ func countRecords(t *testing.T, path string) int {
 	return n
 }
 
+// recordShapes returns the entry types of each record in a segment, in file
+// order; a continuation entry shows as the recSample it stands for.
+func recordShapes(t *testing.T, path string) [][]byte {
+	t.Helper()
+	var shapes [][]byte
+	var e entry
+	err := scanRecords(path, func(p []byte) error {
+		var types []byte
+		err := decodeRecord(p, true, &e, func(e *entry) error {
+			types = append(types, e.typ)
+			return nil
+		})
+		shapes = append(shapes, types)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shapes
+}
+
 func segSize(t *testing.T, path string) int64 {
 	t.Helper()
 	info, err := os.Stat(path)
@@ -202,8 +223,9 @@ func TestCorruptBatchRepaired(t *testing.T) {
 	}
 }
 
-// TestPurgeKeepsBatchWithOneUnflushedEntry: a segment whose batch holds a
-// single entry above its series' flushed sequence stays.
+// TestPurgeKeepsBatchWithOneUnflushedEntry: a closed segment whose batch
+// holds a single entry above its series' flushed sequence stays, while the
+// active segment, holding only flush marks, goes.
 func TestPurgeKeepsBatchWithOneUnflushedEntry(t *testing.T) {
 	dir := t.TempDir()
 	w := openTestWAL(t, dir, 64) // the batch alone fills a segment
@@ -218,17 +240,24 @@ func TestPurgeKeepsBatchWithOneUnflushedEntry(t *testing.T) {
 	if w.segIdx != 2 {
 		t.Fatalf("batch did not roll the segment (active %d)", w.segIdx)
 	}
-	if err := w.LogFlushMark(1, 4); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := w.Purge(); err != nil || n != 0 {
-		t.Fatalf("purge dropped %d (err %v) with series 2 seq 1 unflushed, want 0", n, err)
-	}
-	if err := w.LogFlushMark(2, 1); err != nil {
+	batchSeg := w.segPath(1)
+	if err := w.LogFlushMarks([]FlushMark{{ID: 1, Seq: 4}}); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := w.Purge(); err != nil || n != 1 {
-		t.Fatalf("purge dropped %d (err %v) once every entry is flushed, want 1", n, err)
+		t.Fatalf("purge dropped %d (err %v) with series 2 seq 1 unflushed, want 1 (the marks-only active segment)", n, err)
+	}
+	if _, err := os.Stat(batchSeg); err != nil {
+		t.Fatalf("segment with an unflushed entry was dropped: %v", err)
+	}
+	if err := w.LogFlushMarks([]FlushMark{{ID: 2, Seq: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := w.Purge(); err != nil || n != 2 {
+		t.Fatalf("purge dropped %d (err %v) once every entry is flushed, want 2", n, err)
+	}
+	if _, err := os.Stat(batchSeg); !os.IsNotExist(err) {
+		t.Fatalf("flushed segment kept: stat error %v", err)
 	}
 }
 
@@ -257,22 +286,20 @@ func TestSingleSampleCommitsPendingBatch(t *testing.T) {
 }
 
 // TestFlushMarkCommitsPendingBatch: a flush mark never precedes, in the
-// file, a staged sample it covers.
+// file, a staged sample it covers, and one LogFlushMarks call is one
+// record of marks.
 func TestFlushMarkCommitsPendingBatch(t *testing.T) {
 	dir := t.TempDir()
 	w := openTestWAL(t, dir, 0)
 	path := w.segPath(w.segIdx)
 	stage(t, w, 3, 1)
 	stage(t, w, 3, 2)
-	if err := w.LogFlushMark(3, 1); err != nil {
+	if err := w.LogFlushMarks([]FlushMark{{ID: 3, Seq: 1}, {ID: 4, Seq: 9}}); err != nil {
 		t.Fatal(err)
 	}
-	var types []byte
-	if err := scanRecords(path, func(p []byte) error { types = append(types, p[0]); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(types, []byte{recBatch, recFlushMark}) {
-		t.Fatalf("record types in file order %v, want the batch before the mark", types)
+	want := [][]byte{{recSample, recSample}, {recFlushMark, recFlushMark}}
+	if got := recordShapes(t, path); !reflect.DeepEqual(got, want) {
+		t.Fatalf("entry types per record in file order %v, want %v: the batch, then one record of marks", got, want)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -281,6 +308,9 @@ func TestFlushMarkCommitsPendingBatch(t *testing.T) {
 	defer w2.Close()
 	if got, want := recoverAll(t, w2), []replayed{{3, 2, 20}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("replayed %v, want %v", got, want)
+	}
+	if got := w2.FlushedSeq(4); got != 9 {
+		t.Fatalf("FlushedSeq(4) = %d, want 9", got)
 	}
 }
 

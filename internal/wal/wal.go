@@ -15,17 +15,21 @@
 //   - samples and flush marks live in size-bounded segments
 //     (000001.wal, 000002.wal, ...) that purge drops wholesale.
 //
-// A segment record carries either one entry (a sample, a group round or a
-// flush mark, written by the single-sample Log* calls) or a batch of them:
+// A segment record carries either one entry (a sample or a group round,
+// written by the single-sample Log* calls) or a batch of them:
 // StageSample/StageGroupSample collect one write request's entries in a
-// pending buffer and Commit writes them as one record (DESIGN.md §4.6).
+// pending buffer and Commit writes them as one record, and LogFlushMarks
+// writes one flush's marks as one record (DESIGN.md §4.6). Inside a batch,
+// a sample that continues the previous one (next id, same seq and t) is
+// logged as its value alone.
 //
 // Purge is conservative: a segment is removed only when every sample record
-// in it is at or below its series' flushed sequence. Flush marks from
-// dropped segments are preserved in a checkpoint file, so recovery never
-// replays an unbounded amount of obsolete data; replaying a few
-// already-flushed samples is harmless because queries deduplicate samples
-// by timestamp.
+// in it is at or below its series' flushed sequence. That includes the
+// active segment, which is rolled and dropped once nothing in it is
+// unflushed. Flush marks from dropped segments are preserved in a
+// checkpoint file, so recovery never replays an unbounded amount of
+// obsolete data; replaying a few already-flushed samples is harmless
+// because queries deduplicate samples by timestamp.
 package wal
 
 import (
@@ -53,7 +57,8 @@ const (
 	recSample      = byte(4) // id, seq, t, v
 	recGroupSample = byte(5) // gid, seq, t, [slot, v]...
 	recFlushMark   = byte(6) // id, seq
-	recBatch       = byte(7) // entries: recSample/recGroupSample/recFlushMark payloads back to back
+	recBatch       = byte(7) // entries: recSample/recGroupSample/recFlushMark/recSampleNext payloads back to back
+	recSampleNext  = byte(8) // batch only: v of the sample id+1, with the seq and t of the sample before it
 )
 
 // maxPendingBytes bounds the pending batch: a batch that grows past it is
@@ -96,6 +101,10 @@ type WAL struct {
 	// pending as one record.
 	pending  encoding.Buf
 	pendingN int
+	// last is the sample staged last in the pending batch, which the next
+	// staged sample may continue (recSampleNext); ok is false when the
+	// batch is empty or its last entry is a group round.
+	last lastSample
 	// failed is the first batch write error. The entries it lost are
 	// already applied and may belong to several callers, so every later
 	// write returns it rather than acknowledge what the log cannot hold.
@@ -106,7 +115,7 @@ type WAL struct {
 	purgeMu sync.Mutex
 
 	// flushedSeq[id] = highest sequence known flushed; updated by
-	// LogFlushMark and loaded from the checkpoint on open.
+	// LogFlushMarks and loaded from the checkpoint on open.
 	flushedSeq map[uint64]uint64
 
 	// repaired records the mid-file corruptions Recover truncated away.
@@ -120,6 +129,19 @@ type WAL struct {
 
 	// journal receives operational events (nil is a no-op); DESIGN.md §4.12.
 	journal *obs.Journal
+}
+
+// lastSample is the continuation state of the pending batch.
+type lastSample struct {
+	id, seq uint64
+	t       int64
+	ok      bool
+}
+
+// FlushMark says that every sample of series (or group) ID with a sequence
+// at or below Seq is persistent in the LSM-tree.
+type FlushMark struct {
+	ID, Seq uint64
 }
 
 // Options configures the WAL.
@@ -179,7 +201,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 	}
 	if reg := opts.Metrics; reg != nil {
 		w.mFsync = reg.Histogram("timeunion_wal_fsync_seconds", "", "Latency of WAL fsync calls (catalog + active segment).")
-		w.mRolls = reg.Counter("timeunion_wal_segment_rolls_total", "", "Sample segments closed after reaching the size bound.")
+		w.mRolls = reg.Counter("timeunion_wal_segment_rolls_total", "", "Sample segments closed, at the size bound or by a purge that drops the fully flushed active segment.")
 		w.mRecords = reg.Counter("timeunion_wal_records_total", "", "Sample, group-round and flush-mark entries appended to segments; a batch record counts each of its entries.")
 		w.mPurged = reg.Counter("timeunion_wal_purged_segments_total", "", "Obsolete segments removed by Purge.")
 		reg.GaugeFunc("timeunion_wal_size_bytes", "", "On-disk WAL volume (catalog + segments + checkpoint).",
@@ -289,6 +311,7 @@ func (w *WAL) pendingLocked() (*encoding.Buf, error) {
 	if w.pendingN == 0 {
 		w.pending.Reset()
 		w.pending.PutByte(recBatch)
+		w.last.ok = false
 	}
 	w.pendingN++
 	return &w.pending, nil
@@ -331,7 +354,13 @@ func (w *WAL) StageSample(id, seq uint64, t int64, v float64) error {
 	if err != nil {
 		return err
 	}
-	putSample(b, id, seq, t, v)
+	if l := w.last; l.ok && id == l.id+1 && seq == l.seq && t == l.t {
+		b.PutByte(recSampleNext)
+		b.PutBE64(math.Float64bits(v))
+	} else {
+		putSample(b, id, seq, t, v)
+	}
+	w.last = lastSample{id: id, seq: seq, t: t, ok: true}
 	return w.commitIfFullLocked()
 }
 
@@ -348,6 +377,7 @@ func (w *WAL) StageGroupSample(gid, seq uint64, t int64, slots []uint32, vals []
 		return err
 	}
 	putGroupSample(b, gid, seq, t, slots, vals)
+	w.last.ok = false
 	return w.commitIfFullLocked()
 }
 
@@ -360,11 +390,11 @@ func (w *WAL) Commit() error {
 	return w.commitLocked()
 }
 
-// rollLocked closes the full active segment and opens its replacement,
-// journaling the roll's outcome on every exit path. A rolled segment is
-// closed forever: sync it now so Purge's "everything before the active
-// segment is on disk" assumption holds, then make its replacement durable.
-// The caller holds w.mu.
+// rollLocked closes the active segment (full, or fully flushed and about
+// to be purged) and opens its replacement, journaling the roll's outcome
+// on every exit path. A rolled segment is closed forever: sync it now so
+// Purge's "everything before the active segment is on disk" assumption
+// holds, then make its replacement durable. The caller holds w.mu.
 func (w *WAL) rollLocked() (err error) {
 	start := time.Now()
 	rolled, size := w.segIdx, w.segSize
@@ -459,21 +489,36 @@ func putGroupSample(b *encoding.Buf, gid, seq uint64, t int64, slots []uint32, v
 	}
 }
 
-// LogFlushMark records that all samples of id with sequence <= seq are
-// persistent in the LSM-tree (written when a memtable flushes to level 0).
-func (w *WAL) LogFlushMark(id, seq uint64) error {
-	var b encoding.Buf
-	b.PutByte(recFlushMark)
-	b.PutUvarint(id)
-	b.PutUvarint(seq)
-	if err := w.writeSample(b.Get()); err != nil {
-		return err
+// LogFlushMarks records one LSM flush's marks (written after the flush's
+// manifest commit) as one record. The pending batch is committed first, so
+// a mark never precedes, in the file, a sample it covers.
+func (w *WAL) LogFlushMarks(marks []FlushMark) error {
+	if len(marks) == 0 {
+		return nil
 	}
 	w.mu.Lock()
-	if seq > w.flushedSeq[id] {
-		w.flushedSeq[id] = seq
+	defer w.mu.Unlock()
+	if err := w.commitLocked(); err != nil {
+		return err
 	}
-	w.mu.Unlock()
+	// The committed batch leaves the pending buffer free to build the
+	// record in; the next staged entry resets it.
+	b := &w.pending
+	b.Reset()
+	b.PutByte(recBatch)
+	for _, m := range marks {
+		b.PutByte(recFlushMark)
+		b.PutUvarint(m.ID)
+		b.PutUvarint(m.Seq)
+	}
+	if err := w.appendLocked(b.Get(), len(marks)); err != nil {
+		return err
+	}
+	for _, m := range marks {
+		if m.Seq > w.flushedSeq[m.ID] {
+			w.flushedSeq[m.ID] = m.Seq
+		}
+	}
 	return nil
 }
 
@@ -602,9 +647,10 @@ func (w *WAL) writeCheckpoint() (err error) {
 
 // --- purge ---
 
-// Purge drops closed segments whose sample records are all flushed. It
-// returns the number of segments removed. The active segment is never
-// dropped. This is the "background worker purges stale log records" of
+// Purge drops segments whose sample records are all flushed and returns
+// the number removed. The active segment is dropped too when nothing was
+// appended or staged since its scan: it is rolled first, under the same
+// checkpoint. This is the "background worker purges stale log records" of
 // §3.3; the owner calls it periodically. Concurrent calls are serialized:
 // interleaved purges could otherwise clobber each other's checkpoint.
 func (w *WAL) Purge() (dropped int, err error) {
@@ -619,9 +665,28 @@ func (w *WAL) Purge() (dropped int, err error) {
 			w.journal.Emit("wal.purge", start, err, map[string]any{"segments_dropped": dropped})
 		}
 	}()
+	plan, err := w.scanPurge()
+	if err != nil {
+		return 0, err
+	}
+	return w.applyPurge(plan)
+}
 
+// purgePlan is what a purge scan found droppable.
+type purgePlan struct {
+	drop []int // closed segments whose sample entries are all flushed
+	// active is set when the active segment, activeIdx holding activeSize
+	// bytes at the scan, has records and all are flushed.
+	active                bool
+	activeIdx, activeSize int
+}
+
+// scanPurge scans every segment against a snapshot of the flushed
+// sequences, without holding w.mu.
+func (w *WAL) scanPurge() (purgePlan, error) {
+	var p purgePlan
 	w.mu.Lock()
-	activeIdx := w.segIdx
+	p.activeIdx, p.activeSize = w.segIdx, w.segSize
 	flushed := make(map[uint64]uint64, len(w.flushedSeq))
 	for k, v := range w.flushedSeq {
 		flushed[k] = v
@@ -630,34 +695,51 @@ func (w *WAL) Purge() (dropped int, err error) {
 
 	segs, err := w.segmentIndexes()
 	if err != nil {
-		return 0, err
+		return p, err
 	}
-	var drop []int
 	for _, idx := range segs {
-		if idx >= activeIdx {
+		if idx > p.activeIdx || idx == p.activeIdx && p.activeSize == 0 {
 			continue
 		}
-		obsolete, serr := segmentObsolete(w.segPath(idx), flushed)
-		if serr != nil {
-			return 0, serr
+		obsolete, err := segmentObsolete(w.segPath(idx), flushed)
+		if err != nil {
+			return p, err
 		}
-		if obsolete {
-			drop = append(drop, idx)
+		switch {
+		case !obsolete:
+		case idx == p.activeIdx:
+			p.active = true
+		default:
+			p.drop = append(p.drop, idx)
 		}
 	}
-	if len(drop) == 0 {
+	return p, nil
+}
+
+// applyPurge drops what p found. One checkpoint covers every removal: the
+// flushed snapshot the scan used is dominated by flushedSeq, so the
+// dropped segments' flush marks survive in the checkpoint no matter where
+// a crash interleaves. The active segment goes only if the scan saw all of
+// it: nothing was appended or staged since, and the log is healthy.
+func (w *WAL) applyPurge(p purgePlan) (dropped int, err error) {
+	w.mu.Lock()
+	active := p.active && w.segIdx == p.activeIdx && w.segSize == p.activeSize && w.pendingN == 0 && w.failed == nil
+	if len(p.drop) == 0 && !active {
+		w.mu.Unlock()
 		return 0, nil
 	}
-	// One checkpoint covers every removal below: the flushedSeq snapshot
-	// dominates all records in the dropped segments, so their flush marks
-	// survive in the checkpoint no matter where a crash interleaves.
-	w.mu.Lock()
 	err = w.writeCheckpoint()
+	if err == nil && active {
+		if err = w.rollLocked(); err != nil {
+			w.failed = err // the active segment may be closed with no replacement
+		}
+		p.drop = append(p.drop, p.activeIdx)
+	}
 	w.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	for _, idx := range drop {
+	for _, idx := range p.drop {
 		if rerr := os.Remove(w.segPath(idx)); rerr != nil {
 			return dropped, fmt.Errorf("wal: drop segment: %w", rerr)
 		}
@@ -695,25 +777,46 @@ type entry struct {
 	vals  []float64
 }
 
+// errOrphanContinuation reports a recSampleNext entry with no sample
+// before it in its batch: the log was written wrong, not torn.
+var errOrphanContinuation = errors.New("wal: continuation entry without a sample before it")
+
 // scanEntries calls fn for every entry of every record in a segment, in
 // file order; a record is a single entry or a recBatch of entries. A
 // batch's entries are decoded in full, since a batch can only be walked
-// that way. A single-entry record is decoded past its id and seq only when
-// full is set, which only replay needs. The entry passed to fn, slots and
-// vals included, is reused from one call to the next.
+// that way; a recSampleNext entry is passed to fn as the recSample it
+// stands for. A single-entry record is decoded past its id and seq only
+// when full is set, which only replay needs. The entry passed to fn,
+// slots and vals included, is reused from one call to the next.
 func scanEntries(path string, full bool, fn func(*entry) error) error {
 	var e entry
 	return scanRecords(path, func(payload []byte) error {
-		d := encoding.NewDecbuf(payload)
-		typ := d.Byte()
-		batch := typ == recBatch
-		for {
-			if batch {
-				if d.Len() == 0 {
-					return d.Err()
-				}
-				typ = d.Byte()
+		return decodeRecord(payload, full, &e, fn)
+	})
+}
+
+// decodeRecord is scanEntries for one record's payload, decoding into e.
+func decodeRecord(payload []byte, full bool, e *entry, fn func(*entry) error) error {
+	d := encoding.NewDecbuf(payload)
+	typ := d.Byte()
+	batch := typ == recBatch
+	e.typ = 0 // no entry of this record precedes the first
+	for {
+		if batch {
+			if d.Len() == 0 {
+				return d.Err()
 			}
+			typ = d.Byte()
+		}
+		switch {
+		case typ == recSampleNext:
+			// e still holds the sample this one continues.
+			if !batch || e.typ != recSample {
+				return errOrphanContinuation
+			}
+			e.id++
+			e.v = math.Float64frombits(d.BE64())
+		case typ == recSample || typ == recGroupSample || typ == recFlushMark:
 			e.typ = typ
 			e.id = d.Uvarint()
 			e.seq = d.Uvarint()
@@ -723,7 +826,7 @@ func scanEntries(path string, full bool, fn func(*entry) error) error {
 			case typ == recSample:
 				e.t = d.Varint()
 				e.v = math.Float64frombits(d.BE64())
-			case typ == recGroupSample:
+			default:
 				e.t = d.Varint()
 				n := d.Uvarint()
 				e.slots, e.vals = e.slots[:0], e.vals[:0]
@@ -731,20 +834,20 @@ func scanEntries(path string, full bool, fn func(*entry) error) error {
 					e.slots = append(e.slots, uint32(d.Uvarint()))
 					e.vals = append(e.vals, math.Float64frombits(d.BE64()))
 				}
-			default:
-				return fmt.Errorf("wal: unknown segment entry type %d", typ)
 			}
-			if err := d.Err(); err != nil {
-				return err
-			}
-			if err := fn(&e); err != nil {
-				return err
-			}
-			if !batch {
-				return nil
-			}
+		default:
+			return fmt.Errorf("wal: unknown segment entry type %d", typ)
 		}
-	})
+		if err := d.Err(); err != nil {
+			return err
+		}
+		if err := fn(e); err != nil {
+			return err
+		}
+		if !batch {
+			return nil
+		}
+	}
 }
 
 // scanRecords reads a record-framed file, stopping cleanly at a truncated

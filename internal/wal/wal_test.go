@@ -3,6 +3,7 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -92,7 +93,7 @@ func TestFlushMarkSkipsReplay(t *testing.T) {
 		}
 	}
 	// Mark 1..6 flushed; note the mark arrives after the samples.
-	if err := w.LogFlushMark(7, 6); err != nil {
+	if err := w.LogFlushMarks([]FlushMark{{ID: 7, Seq: 6}}); err != nil {
 		t.Fatal(err)
 	}
 	if w.FlushedSeq(7) != 6 {
@@ -136,7 +137,7 @@ func TestSegmentRollAndPurge(t *testing.T) {
 		t.Fatalf("purge before flush = %d, %v", n, err)
 	}
 	// Flush everything: all closed segments become droppable.
-	if err := w.LogFlushMark(1, 100); err != nil {
+	if err := w.LogFlushMarks([]FlushMark{{ID: 1, Seq: 100}}); err != nil {
 		t.Fatal(err)
 	}
 	n, err = w.Purge()
@@ -171,7 +172,7 @@ func TestPartialFlushKeepsSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.LogFlushMark(1, 5); err != nil {
+	if err := w.LogFlushMarks([]FlushMark{{ID: 1, Seq: 5}}); err != nil {
 		t.Fatal(err)
 	}
 	// Force a roll so the mixed segment is closed.
@@ -431,7 +432,7 @@ func TestConcurrentPurge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.LogFlushMark(5, 200); err != nil {
+	if err := w.LogFlushMarks([]FlushMark{{ID: 5, Seq: 200}}); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -476,5 +477,74 @@ func TestConcurrentPurge(t *testing.T) {
 	}
 	if replayed != 0 {
 		t.Fatalf("replayed %d flushed samples, want 0", replayed)
+	}
+}
+
+// TestPurgeDropsFlushedActiveSegment: an active segment whose samples are
+// all flushed is rolled and dropped, and what follows lands in its
+// replacement; an empty active segment is left alone.
+func TestPurgeDropsFlushedActiveSegment(t *testing.T) {
+	dir := t.TempDir()
+	w := openTestWAL(t, dir, 0)
+	if n, err := w.Purge(); err != nil || n != 0 {
+		t.Fatalf("purge of an empty log dropped %d (err %v), want 0", n, err)
+	}
+	first := w.segPath(w.segIdx)
+	logOne(t, w, 1, 1)
+	if err := w.LogFlushMarks([]FlushMark{{ID: 1, Seq: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := w.Purge(); err != nil || n != 1 {
+		t.Fatalf("purge dropped %d (err %v), want 1: the flushed active segment", n, err)
+	}
+	if _, err := os.Stat(first); !os.IsNotExist(err) {
+		t.Fatalf("flushed active segment kept: stat error %v", err)
+	}
+	logOne(t, w, 1, 2)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2 := openTestWAL(t, dir, 0)
+	defer w2.Close()
+	if got, want := recoverAll(t, w2), []replayed{{1, 2, 20}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed %v, want %v", got, want)
+	}
+}
+
+// TestPurgeKeepsActiveSegmentChangedAfterScan: an append or a staged entry
+// between the purge's scan and its drop keeps the active segment.
+func TestPurgeKeepsActiveSegmentChangedAfterScan(t *testing.T) {
+	for name, write := range map[string]func(w *WAL){
+		"appended": func(w *WAL) { logOne(t, w, 1, 2) },
+		"staged":   func(w *WAL) { stage(t, w, 1, 2) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			w := openTestWAL(t, dir, 0)
+			path := w.segPath(w.segIdx)
+			logOne(t, w, 1, 1)
+			if err := w.LogFlushMarks([]FlushMark{{ID: 1, Seq: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			plan, err := w.scanPurge()
+			if err != nil || !plan.active {
+				t.Fatalf("scan found the flushed active segment droppable = %v (err %v), want true", plan.active, err)
+			}
+			write(w)
+			if n, err := w.applyPurge(plan); err != nil || n != 0 {
+				t.Fatalf("purge dropped %d (err %v) after a write, want 0", n, err)
+			}
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("active segment dropped: %v", err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			w2 := openTestWAL(t, dir, 0)
+			defer w2.Close()
+			if got, want := recoverAll(t, w2), []replayed{{1, 2, 20}}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("replayed %v, want %v", got, want)
+			}
+		})
 	}
 }
