@@ -21,6 +21,14 @@ import (
 // AND no sample duplicated (strictly increasing query timestamps), with
 // zero orphaned objects left on either tier. TORTURE_SCHEDULES/TORTURE_SEED
 // work as in TestCrashTorture.
+//
+// The orphan audit runs twice after recovery. The recovered tree starts
+// flushing (the WAL replay) and compacting at once, so right after Open
+// an object no view references may be a declared output of an in-flight
+// job or a retired table whose delete has not run: the first audit
+// requires every unreferenced object to be one of those two
+// (lsm.ObjectAudit.Orphans is empty). After WaitIdle the second requires
+// no unreferenced object at all.
 
 // killVariants enumerates the commit-protocol boundaries: both sides of the
 // fast and slow manifest swaps, table writes of flush (l0), L0→L1 (l1) and
@@ -261,6 +269,7 @@ func runCompactionKillSchedule(t *testing.T, seed int64, kp cloud.KillPoint, rec
 
 	// Crash: sever both stores, abandon WAL and head without flushing.
 	record(db.Journal())
+	crashed := db.Journal()
 	fast.Kill()
 	slow.Kill()
 	_ = db.store.Close()
@@ -272,7 +281,18 @@ func runCompactionKillSchedule(t *testing.T, seed int64, kp cloud.KillPoint, rec
 
 	db, fast, slow = open()
 	verifyExactlyOnce(t, db, series)
-	assertNoOrphans(t, db, "after recovery")
+	audit := func(when string, idle bool) {
+		t.Helper()
+		if msg := auditObjects(t, db, idle); msg != "" {
+			t.Fatalf("%s %s (kill point %+v)\njournal before the crash:\n%s\njournal after recovery:\n%s",
+				msg, when, kp, formatJournal(crashed), formatJournal(db.Journal()))
+		}
+	}
+	audit("right after recovery", false)
+	if err := db.ChunkStoreRef().(*lsm.LSM).WaitIdle(); err != nil {
+		t.Fatalf("wait idle after recovery: %v", err)
+	}
+	audit("after recovery, idle", true)
 
 	// Phase 2: the recovered tree must keep working — more appends, a real
 	// flush (no faults armed now), and the contract must still hold.
@@ -296,7 +316,7 @@ func runCompactionKillSchedule(t *testing.T, seed int64, kp cloud.KillPoint, rec
 		t.Fatalf("phase-2 flush: %v", err)
 	}
 	verifyExactlyOnce(t, db, series)
-	assertNoOrphans(t, db, "after phase-2 flush")
+	audit("after the phase-2 flush", true)
 	record(db.Journal())
 	if err := db.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -346,20 +366,35 @@ func verifyExactlyOnce(t *testing.T, db *DB, series []*stream) {
 	}
 }
 
-// assertNoOrphans fails if either tier holds objects the live tree does not
-// reference — recovery GC must leave the buckets exactly matching the
-// manifests.
-func assertNoOrphans(t *testing.T, db *DB, when string) {
+// auditObjects classifies both tiers' objects and returns what is wrong,
+// or "". On a tree that may be busy every unreferenced object must be an
+// in-flight output or a retired table pending delete; on an idle tree no
+// object may be unreferenced (recovery GC and every job's commit and
+// delete leave the buckets exactly matching the view).
+func auditObjects(t *testing.T, db *DB, idle bool) string {
 	t.Helper()
 	tree, ok := db.ChunkStoreRef().(*lsm.LSM)
 	if !ok {
 		t.Fatalf("chunk store is not the LSM tree")
 	}
-	orphans, err := tree.Orphans()
+	a, err := tree.AuditObjects()
 	if err != nil {
-		t.Fatalf("orphans %s: %v", when, err)
+		t.Fatalf("audit objects: %v", err)
 	}
-	if len(orphans) != 0 {
-		t.Fatalf("orphaned objects %s: %v", when, orphans)
+	if len(a.Orphans) != 0 {
+		return fmt.Sprintf("orphaned objects %v (in flight %v, pending delete %v)", a.Orphans, a.InFlight, a.PendingDelete)
 	}
+	if idle && len(a.InFlight)+len(a.PendingDelete) != 0 {
+		return fmt.Sprintf("unreferenced objects on an idle tree: in flight %v, pending delete %v", a.InFlight, a.PendingDelete)
+	}
+	return ""
+}
+
+// formatJournal renders a journal's events one per line.
+func formatJournal(j *obs.Journal) string {
+	var b strings.Builder
+	for _, ev := range j.Events(0, nil) {
+		fmt.Fprintf(&b, "  #%d %s %dus err=%q %v\n", ev.Seq, ev.Kind, ev.DurationUs, ev.Err, ev.Fields)
+	}
+	return b.String()
 }

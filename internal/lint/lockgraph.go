@@ -22,15 +22,16 @@ import (
 //
 //	manifestMu/refreshMu → l.mu → head catalog → stripe → series/group
 //
-// and obs.Journal.mu is a leaf: emit sites may hold any other lock, but the
-// journal must never call out while holding its own. Edges are derived two
-// ways: directly (class A held when class B is acquired in the same body,
-// defer-aware — a deferred Unlock keeps its lock held to function end) and
-// transitively (class A held at a call whose callee's summary — a fixpoint
-// over the call graph — may acquire class B). Function literals run with
-// their own lock state and are analyzed independently; goroutine bodies and
-// go-statement callees run concurrently, so the spawner's held set never
-// flows into them and their acquisitions never flow into caller summaries.
+// and obs.Journal.mu and lsm.objectBook.mu are leaves: their callers may
+// hold any other lock, but neither may call out while holding its own.
+// Edges are derived two ways: directly (class A held when class B is
+// acquired in the same body, defer-aware — a deferred Unlock keeps its
+// lock held to function end) and transitively (class A held at a call
+// whose callee's summary — a fixpoint over the call graph — may acquire
+// class B). Function literals run with their own lock state and are
+// analyzed independently; goroutine bodies and go-statement callees run
+// concurrently, so the spawner's held set never flows into them and their
+// acquisitions never flow into caller summaries.
 // Bare function references (callbacks) are likewise excluded from
 // summaries: registration is not invocation.
 //
@@ -58,6 +59,7 @@ var declaredLockLevels = []struct {
 	{"internal/head", "stripe", "mu", 40, false},
 	{"internal/head", "MemSeries", "mu", 50, false},
 	{"internal/head", "MemGroup", "mu", 50, false},
+	{"internal/lsm", "objectBook", "mu", 90, true},
 	{"internal/obs", "Journal", "mu", 90, true},
 }
 

@@ -453,7 +453,7 @@ func (l *LSM) runL1L2(job *compactionJob) error {
 // writePatch writes one patch SSTable appended to base table baseSeq of
 // partition p on the slow store.
 func (l *LSM) writePatch(p *partition, baseSeq uint64, kvs []tuple.KV) (*tableHandle, error) {
-	w := sstable.NewWriter(l.opts.BlockSize)
+	w := l.newTableWriter(2)
 	for _, kv := range kvs {
 		if err := w.Add(kv.Key[:], kv.Value); err != nil {
 			return nil, fmt.Errorf("lsm: build patch: %w", err)
@@ -465,14 +465,16 @@ func (l *LSM) writePatch(p *partition, baseSeq uint64, kvs []tuple.KV) (*tableHa
 	}
 	seq := l.nextFileSeq()
 	name := patchName(p, baseSeq, seq)
+	l.book.declare(name)
 	if err := l.opts.Slow.Put(name, data); err != nil {
+		l.book.forget(name)
 		return nil, fmt.Errorf("lsm: write patch %s: %w", name, err)
 	}
 	tbl, err := sstable.OpenTableFromBytes(l.opts.Slow, name, l.opts.Cache, data)
 	if err != nil {
 		return nil, err
 	}
-	return newTableHandle(tbl, l.opts.Slow, name, seq), nil
+	return newTableHandle(tbl, l.opts.Slow, name, seq, l.book), nil
 }
 
 // mergePatches merges base table idx of partition p with all its patches

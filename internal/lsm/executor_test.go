@@ -104,7 +104,7 @@ func TestChainedOverlapCompactionEndToEnd(t *testing.T) {
 	if got := querySeries(t, l, 3, 0, 10000); len(got) != 1 || got[0].T != 3600 {
 		t.Fatalf("id 3 samples = %v", got)
 	}
-	if orphans, err := l.Orphans(); err != nil || len(orphans) != 0 {
+	if orphans, err := unreferenced(l); err != nil || len(orphans) != 0 {
 		t.Fatalf("orphans = %v, %v", orphans, err)
 	}
 }
@@ -139,7 +139,7 @@ func TestMidCompactionFaultNoOrphans(t *testing.T) {
 		if err := l.WaitIdle(); err == nil {
 			t.Fatalf("failAfter=%d: injected failure never surfaced", failAfter)
 		}
-		orphans, err := l.Orphans()
+		orphans, err := unreferenced(l)
 		if err != nil {
 			t.Fatal(err)
 		}

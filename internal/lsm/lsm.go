@@ -156,7 +156,8 @@ type tableHandle struct {
 	tbl      *sstable.Table
 	store    cloud.Store
 	storeKey string
-	seq      uint64 // creation sequence: larger = newer data on conflicts
+	seq      uint64      // creation sequence: larger = newer data on conflicts
+	book     *objectBook // the owning tree's, told when the object is deleted
 	// firstID and lastID bound the series ids the table holds, read from
 	// its key bounds once: queries skip tables that cannot hold their id
 	// and patch routing picks base tables without re-parsing keys.
@@ -166,8 +167,8 @@ type tableHandle struct {
 	obsolete atomic.Bool
 }
 
-func newTableHandle(tbl *sstable.Table, store cloud.Store, storeKey string, seq uint64) *tableHandle {
-	h := &tableHandle{tbl: tbl, store: store, storeKey: storeKey, seq: seq, lastID: math.MaxUint64}
+func newTableHandle(tbl *sstable.Table, store cloud.Store, storeKey string, seq uint64, book *objectBook) *tableHandle {
+	h := &tableHandle{tbl: tbl, store: store, storeKey: storeKey, seq: seq, book: book, lastID: math.MaxUint64}
 	// Bounds that do not parse exclude nothing.
 	if k, err := encoding.ParseKey(tbl.FirstKey()); err == nil {
 		h.firstID = k.ID()
@@ -197,7 +198,9 @@ func (h *tableHandle) release() {
 		// commit / retention), not by the refcount release that happens to
 		// run last — which can be any query goroutine.
 		//lint:ignore journalcover deferred deletion of a retired table is accounted to the compaction/retention event that retired it
-		_ = h.store.Delete(h.storeKey)
+		if h.store.Delete(h.storeKey) == nil {
+			h.book.forget(h.storeKey)
+		}
 	}
 }
 
@@ -295,6 +298,7 @@ type LSM struct {
 	pendingTombs []string // fast-table tombstones awaiting a fast commit
 	mfFastVer    atomic.Uint64
 	mfSlowVer    atomic.Uint64
+	book         *objectBook // table objects outside the view (AuditObjects)
 
 	// Replica state (ReadOnly mode only). refreshMu serializes view swaps
 	// and is acquired before l.mu, mirroring manifestMu on the writer side.
@@ -333,6 +337,7 @@ func Open(opts Options) (*LSM, error) {
 		mem:  memtable.New(),
 		r1:   o.L0PartitionLength,
 		r2:   o.L2PartitionLength,
+		book: &objectBook{outputs: map[string]bool{}, retired: map[string]bool{}},
 	}
 	l.flushCond = sync.NewCond(&l.mu)
 	l.idleCond = sync.NewCond(&l.mu)
@@ -789,7 +794,7 @@ func (l *LSM) writeTables(store cloud.Store, level int, p *partition, kvs []tupl
 			handles = nil
 		}
 	}()
-	w := sstable.NewWriter(l.opts.BlockSize)
+	w := l.newTableWriter(level)
 	flushW := func() error {
 		data, err := w.Finish()
 		if err != nil {
@@ -797,14 +802,16 @@ func (l *LSM) writeTables(store cloud.Store, level int, p *partition, kvs []tupl
 		}
 		seq := l.nextFileSeq()
 		name := tableName(level, p, seq)
+		l.book.declare(name)
 		if err := store.Put(name, data); err != nil {
+			l.book.forget(name)
 			return fmt.Errorf("lsm: write table %s: %w", name, err)
 		}
 		tbl, err := sstable.OpenTableFromBytes(store, name, l.opts.Cache, data)
 		if err != nil {
 			return fmt.Errorf("lsm: reopen table %s: %w", name, err)
 		}
-		handles = append(handles, newTableHandle(tbl, store, name, seq))
+		handles = append(handles, newTableHandle(tbl, store, name, seq, l.book))
 		return nil
 	}
 	var lastID uint64
@@ -814,7 +821,7 @@ func (l *LSM) writeTables(store cloud.Store, level int, p *partition, kvs []tupl
 			if err := flushW(); err != nil {
 				return handles, err
 			}
-			w = sstable.NewWriter(l.opts.BlockSize)
+			w = l.newTableWriter(level)
 		}
 		if err := w.Add(kv.Key[:], kv.Value); err != nil {
 			return handles, fmt.Errorf("lsm: add to table: %w", err)
@@ -822,6 +829,20 @@ func (l *LSM) writeTables(store cloud.Store, level int, p *partition, kvs []tupl
 		lastID = id
 	}
 	return handles, flushW()
+}
+
+// newTableWriter returns the builder for one table at level. The block
+// codec is a level rule (DESIGN.md §2.1): L0 and L1 tables live briefly on
+// the fast tier and are rewritten by the next compaction, and their
+// Gorilla/XOR payloads are already near entropy, so they are written raw;
+// L2 tables and their patches, the data at rest on the priced slow tier,
+// keep DEFLATE.
+func (l *LSM) newTableWriter(level int) *sstable.Writer {
+	w := sstable.NewWriter(l.opts.BlockSize)
+	if level < 2 {
+		w.DisableCompression()
+	}
+	return w
 }
 
 // insertPartition inserts p keeping the slice sorted by minT.

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"timeunion/internal/cloud"
@@ -243,6 +244,7 @@ func (l *LSM) commitManifests(writeFast, writeSlow bool, fastTombstones []string
 			return fmt.Errorf("lsm: commit slow manifest: %w", err)
 		}
 		l.mfSlowVer.Store(v)
+		l.book.commit(1, slowKeys)
 		if v > 1 {
 			// Best effort: a stale version left behind is GC'd at recovery.
 			_ = l.opts.Slow.Delete(manifestKey(manifestSlowPrefix, v-1))
@@ -256,6 +258,7 @@ func (l *LSM) commitManifests(writeFast, writeSlow bool, fastTombstones []string
 			return fmt.Errorf("lsm: commit fast manifest: %w", err)
 		}
 		l.mfFastVer.Store(v)
+		l.book.commit(0, fastKeys)
 		// The fast manifest now authoritatively excludes every tombstoned
 		// table, so the tombstones have served their purpose.
 		l.pendingTombs = nil
@@ -267,49 +270,152 @@ func (l *LSM) commitManifests(writeFast, writeSlow bool, fastTombstones []string
 	return nil
 }
 
-// Orphans lists every object under the data and manifest prefixes that the
-// live tree does not reference: stranded compaction outputs, undeleted
-// inputs, and stale manifest versions. Recovery GC keeps this empty; the
-// torture harness asserts it.
-func (l *LSM) Orphans() ([]string, error) {
+// objectBook accounts for the writer's table objects that the tree's view
+// may not reference: the declared outputs of in-flight flushes and
+// compactions, declared before their Put, and the retired tables whose
+// delete has not completed. committed holds each tier's table keys at its
+// last manifest commit, sorted; a key that a commit drops moves to retired
+// in the same step. The view (the tree and the committed manifests) plus
+// these two sets covers every table object the writer made at every
+// instant, which is what makes AuditObjects exact. A replica's book stays
+// empty: it writes, commits and deletes nothing. mu is a leaf lock.
+type objectBook struct {
+	mu        sync.Mutex
+	outputs   map[string]bool
+	retired   map[string]bool
+	committed [2][]string // fast, slow
+}
+
+// declare records key as an in-flight output before its Put.
+func (b *objectBook) declare(key string) {
+	b.mu.Lock()
+	b.outputs[key] = true
+	b.mu.Unlock()
+}
+
+// forget drops key once its object is deleted (or its Put failed).
+func (b *objectBook) forget(key string) {
+	b.mu.Lock()
+	delete(b.outputs, key)
+	delete(b.retired, key)
+	b.mu.Unlock()
+}
+
+// commit records that tier's manifest now names exactly keys (sorted):
+// committed outputs stop being in flight, and keys the previous commit
+// named and this one drops are retired until their delete completes.
+func (b *objectBook) commit(tier int, keys []string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	old := b.committed[tier]
+	i := 0
+	for _, k := range keys {
+		for i < len(old) && old[i] < k {
+			b.retired[old[i]] = true
+			i++
+		}
+		if i < len(old) && old[i] == k {
+			i++
+		}
+		delete(b.outputs, k)
+	}
+	for ; i < len(old); i++ {
+		b.retired[old[i]] = true
+	}
+	b.committed[tier] = keys
+}
+
+// ObjectAudit classifies, at one instant, the objects listed under the
+// tree's data and manifest prefixes that no view references. A view is
+// the in-memory tree or a tier's last committed manifest. Each list is
+// sorted.
+type ObjectAudit struct {
+	// InFlight are declared outputs of an in-flight flush or compaction.
+	InFlight []string
+	// PendingDelete are retired tables whose delete has not completed.
+	PendingDelete []string
+	// Orphans are the rest: objects nothing will adopt or delete short of
+	// recovery GC.
+	Orphans []string
+}
+
+// AuditObjects lists both tiers and classifies every object no view
+// references. It is the crash-torture harness's accessor; production code
+// does not call it. On a busy tree InFlight and PendingDelete may be
+// non-empty; Orphans is empty unless an object leaked. Once the tree is
+// idle all three are empty.
+//
+// Holding manifestMu freezes the view's committed half and every move
+// between the sets, so between the listing and the snapshot after it the
+// sets change only by a new output's declare and by an object's delete
+// (and the forget that follows it). A listed key the snapshot cannot
+// place is therefore re-checked: if it is gone it was deleted, not leaked.
+func (l *LSM) AuditObjects() (ObjectAudit, error) {
 	l.manifestMu.Lock()
 	defer l.manifestMu.Unlock()
-	l.mu.RLock()
-	fastKeys, slowKeys := l.liveTableKeysLocked()
-	l.mu.RUnlock()
 
-	live := map[string]bool{
-		manifestKey(manifestFastPrefix, l.mfFastVer.Load()): true,
-		manifestKey(manifestSlowPrefix, l.mfSlowVer.Load()): true,
+	type listed struct {
+		store cloud.Store
+		key   string
 	}
-	for _, k := range fastKeys {
-		live[k] = true
-	}
-	for _, k := range slowKeys {
-		live[k] = true
-	}
-
-	var orphans []string
+	var keys []listed
 	scan := func(store cloud.Store, prefixes ...string) error {
 		for _, prefix := range prefixes {
-			keys, err := store.List(prefix)
+			ks, err := store.List(prefix)
 			if err != nil {
 				return err
 			}
-			for _, k := range keys {
-				if !live[k] {
-					orphans = append(orphans, k)
-				}
+			for _, k := range ks {
+				keys = append(keys, listed{store, k})
 			}
 		}
 		return nil
 	}
 	if err := scan(l.opts.Fast, "l0/", "l1/", manifestFastPrefix); err != nil {
-		return nil, err
+		return ObjectAudit{}, err
 	}
 	if err := scan(l.opts.Slow, "l2/", manifestSlowPrefix); err != nil {
-		return nil, err
+		return ObjectAudit{}, err
 	}
-	sort.Strings(orphans)
-	return orphans, nil
+
+	l.mu.RLock()
+	fastKeys, slowKeys := l.liveTableKeysLocked()
+	l.mu.RUnlock()
+	referenced := map[string]bool{
+		manifestKey(manifestFastPrefix, l.mfFastVer.Load()): true,
+		manifestKey(manifestSlowPrefix, l.mfSlowVer.Load()): true,
+	}
+	var a ObjectAudit
+	var unaccounted []listed
+	b := l.book
+	b.mu.Lock()
+	for _, ks := range [][]string{fastKeys, slowKeys, b.committed[0], b.committed[1]} {
+		for _, k := range ks {
+			referenced[k] = true
+		}
+	}
+	for _, o := range keys {
+		switch {
+		case referenced[o.key]:
+		case b.outputs[o.key]:
+			a.InFlight = append(a.InFlight, o.key)
+		case b.retired[o.key]:
+			a.PendingDelete = append(a.PendingDelete, o.key)
+		default:
+			unaccounted = append(unaccounted, o)
+		}
+	}
+	b.mu.Unlock()
+	for _, o := range unaccounted {
+		if _, err := o.store.Size(o.key); cloud.IsNotFound(err) {
+			continue
+		} else if err != nil {
+			return ObjectAudit{}, err
+		}
+		a.Orphans = append(a.Orphans, o.key)
+	}
+	sort.Strings(a.InFlight)
+	sort.Strings(a.PendingDelete)
+	sort.Strings(a.Orphans)
+	return a, nil
 }

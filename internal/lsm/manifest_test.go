@@ -3,8 +3,11 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"timeunion/internal/chunkenc"
 	"timeunion/internal/cloud"
@@ -158,7 +161,7 @@ func TestLegacyTreeUpgradesToManifest(t *testing.T) {
 	if keys, _ := slow.List(manifestSlowPrefix); len(keys) != 1 {
 		t.Fatalf("slow manifest not recreated: %v", keys)
 	}
-	if orphans, err := l2.Orphans(); err != nil || len(orphans) != 0 {
+	if orphans, err := unreferenced(l2); err != nil || len(orphans) != 0 {
 		t.Fatalf("orphans = %v, %v", orphans, err)
 	}
 }
@@ -206,7 +209,7 @@ func TestTombstoneSubtraction(t *testing.T) {
 	if _, err := fast.Get(consumed); err == nil {
 		t.Fatal("tombstoned table survived recovery GC")
 	}
-	if orphans, err := l.Orphans(); err != nil || len(orphans) != 0 {
+	if orphans, err := unreferenced(l); err != nil || len(orphans) != 0 {
 		t.Fatalf("orphans = %v, %v", orphans, err)
 	}
 }
@@ -240,5 +243,112 @@ func TestPartitionLengthsRestoredFromManifest(t *testing.T) {
 	defer l2.Close()
 	if l2.r1 != 1000 || l2.r2 != 4000 {
 		t.Fatalf("r1, r2 = %d, %d; want manifest values 1000, 4000", l2.r1, l2.r2)
+	}
+}
+
+// unreferenced lists every object no view of l references, of any kind.
+func unreferenced(l *LSM) ([]string, error) {
+	a, err := l.AuditObjects()
+	return slices.Concat(a.InFlight, a.PendingDelete, a.Orphans), err
+}
+
+// gatedStore holds the first Put under prefix, after it lands, until
+// release is closed; later Puts under prefix wait for release too.
+type gatedStore struct {
+	*cloud.MemStore
+	prefix  string
+	first   sync.Once
+	landed  chan string
+	release chan struct{}
+}
+
+func (g *gatedStore) Put(key string, data []byte) error {
+	if err := g.MemStore.Put(key, data); err != nil {
+		return err
+	}
+	if strings.HasPrefix(key, g.prefix) {
+		g.first.Do(func() { g.landed <- key })
+		<-g.release
+	}
+	return nil
+}
+
+// TestAuditObjectsClassifies pins the three kinds of unreferenced object
+// the crash-torture audit tells apart: an L0→L1 output held after its Put
+// is in flight, a retired input a reader still holds is pending delete,
+// and an object the tree never wrote is an orphan. None of the first two
+// is an orphan, and once the tree is idle and the reader lets go nothing
+// is unreferenced.
+func TestAuditObjectsClassifies(t *testing.T) {
+	fast := &gatedStore{
+		MemStore: cloud.NewMemStore(cloud.TierBlock, cloud.LatencyModel{}),
+		prefix:   "l1/",
+		landed:   make(chan string, 1),
+		release:  make(chan struct{}),
+	}
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(fast.release) }) }
+	defer open()
+	opts := smallOpts()
+	opts.Fast = fast
+	opts.Slow = cloud.NewMemStore(cloud.TierObject, cloud.LatencyModel{})
+	l, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	defer open() // runs before Close: a held Put would stall its WaitIdle
+	fillSequential(t, l, []uint64{1, 2, 3}, 40, 0, 50)
+	l.mu.Lock()
+	l.rotateLocked() // flush the tail too
+	l.mu.Unlock()
+
+	audit := func() ObjectAudit {
+		t.Helper()
+		a, err := l.AuditObjects()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	var output string
+	select {
+	case output = <-fast.landed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no L0→L1 output was written")
+	}
+	// Hold one input of a running job past the job, as a query would.
+	l.mu.Lock()
+	var held *tableHandle
+	for j := range l.liveJobs {
+		held = j.handles[0]
+		break
+	}
+	held.retain()
+	l.mu.Unlock()
+
+	a := audit()
+	if !slices.Contains(a.InFlight, output) || len(a.Orphans) != 0 {
+		t.Fatalf("held output %s: audit %+v", output, a)
+	}
+	open()
+	if err := l.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	a = audit()
+	if !slices.Equal(a.PendingDelete, []string{held.storeKey}) || len(a.InFlight)+len(a.Orphans) != 0 {
+		t.Fatalf("idle with %s held: audit %+v", held.storeKey, a)
+	}
+	held.release()
+	if a = audit(); len(a.InFlight)+len(a.PendingDelete)+len(a.Orphans) != 0 {
+		t.Fatalf("idle tree: audit %+v", a)
+	}
+
+	stray := "l1/stray.sst"
+	if err := fast.MemStore.Put(stray, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if a = audit(); !slices.Equal(a.Orphans, []string{stray}) {
+		t.Fatalf("stray object: audit %+v", a)
 	}
 }

@@ -91,7 +91,7 @@ func (b *viewBuilder) openHandle(store cloud.Store, key string, seq uint64) (*ta
 	if err != nil {
 		return nil, err
 	}
-	h := newTableHandle(tbl, store, key, seq)
+	h := newTableHandle(tbl, store, key, seq, b.l.book)
 	b.adopted = append(b.adopted, h)
 	return h, nil
 }

@@ -7,6 +7,12 @@
 // The 16-byte TimeUnion key format (big-endian ID ‖ start timestamp) makes
 // prefix compression collapse the shared ID bytes of consecutive chunks of
 // one timeseries, which is the effect Figure 10 calls out.
+//
+// Each stored block carries a marker byte naming its codec, raw or
+// DEFLATE, so one reader serves tables written either way. The writer
+// chooses: the LSM writes its short-lived fast-tier tables (L0, L1) raw
+// and DEFLATEs only L2, the data at rest on the slow tier; the goleveldb
+// baseline DEFLATEs every table.
 package sstable
 
 import (
@@ -39,9 +45,10 @@ const (
 )
 
 // Writer builds an SSTable in memory. Keys must be added in strictly
-// increasing order. Data blocks are DEFLATE-compressed when that shrinks
-// them (LevelDB compresses blocks with Snappy — paper Table 3 credits this
-// for TimeUnion's smaller data footprint; DEFLATE is the stdlib stand-in).
+// increasing order. By default data blocks are DEFLATE-compressed when
+// that shrinks them (LevelDB compresses blocks with Snappy — paper Table 3
+// credits this for TimeUnion's smaller data footprint; DEFLATE is the
+// stdlib stand-in); DisableCompression writes them raw.
 type Writer struct {
 	blockSize  int
 	noCompress bool
@@ -69,8 +76,11 @@ func NewWriter(blockSize int) *Writer {
 	return &Writer{blockSize: blockSize}
 }
 
-// DisableCompression turns off block compression (for tests and size
-// comparisons).
+// DisableCompression writes every data block raw. The LSM calls it for
+// its L0 and L1 tables: they are rewritten by the next compaction, and
+// their Gorilla/XOR payloads are already near entropy, so DEFLATE would
+// spend the background core's CPU, at flush and again at the compaction
+// that reads them back, for 1–3 % of the bytes stored (DESIGN.md §2.1).
 func (w *Writer) DisableCompression() { w.noCompress = true }
 
 // NumEntries returns the number of key-value pairs added.
