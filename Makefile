@@ -41,10 +41,13 @@ tier1-replica:
 	$(GO) test -race -count=1 ./internal/remote -run 'TestReplicaMutationsForbiddenOverHTTP'
 	TORTURE_SCHEDULES=12 TORTURE_SEED=20260807 $(GO) test -race -count=1 ./internal/core -run TestCompactionKillTorture
 
-# tier1-iter is the streaming read-path gate: the iterator contract,
+# tier1-iter is the streaming read-path gate: the iterator contract, the
+# block cache (singleflight, read-ahead inserts racing hits),
 # streaming==materializing identity, and the materializer's concurrent
 # sets on one id cursor (identity at 1, 2 and 8 workers, error naming,
-# cancellation) under the race detector, the selector
+# cancellation) under the race detector, both identity checks again over a
+# block cache smaller than one table with cache integrity checks on (so
+# misses, evictions and read-aheads race across the workers), the selector
 # path (index and matchers) under the race detector, the pooling contract
 # under the race detector with buffer poisoning and cache integrity checks
 # on, and bounded fuzz passes over the merge iterator, batch-vs-streaming
@@ -54,8 +57,8 @@ tier1-replica:
 # TestQueryStreamAllocs, TestWriteFastAllocs, TestWriteGroupAllocs,
 # DESIGN.md §4.10) run in plain `go test ./...`.
 tier1-iter:
-	$(GO) test -race -count=1 ./internal/chunkenc ./internal/lsm ./internal/index ./internal/labels
-	$(GO) test -race -count=1 ./internal/core -run 'TestStreaming|TestNarrowRange|TestConcurrentSeriesSetNoBleed|TestReleasedIteratorPoisonInvisible|TestQueryWorkersIdentical|TestQueryErrorNamesSeries|TestQueryContextCancel'
+	$(GO) test -race -count=1 ./internal/chunkenc ./internal/cloud ./internal/lsm ./internal/index ./internal/labels
+	$(GO) test -race -count=1 ./internal/core -run 'TestStreaming|TestNarrowRange|TestConcurrentSeriesSetNoBleed|TestReleasedIteratorPoisonInvisible|TestQueryWorkersIdentical|TestSmallCache|TestQueryErrorNamesSeries|TestQueryContextCancel'
 	$(GO) test -count=1 ./internal/chunkenc -run '^$$' -fuzz FuzzMergeIterator -fuzztime 500x
 	$(GO) test -count=1 ./internal/chunkenc -run '^$$' -fuzz FuzzXORBatchIdentity -fuzztime 500x
 	$(GO) test -count=1 ./internal/chunkenc -run '^$$' -fuzz FuzzGroupSlotBatchIdentity -fuzztime 500x

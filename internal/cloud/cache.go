@@ -102,6 +102,17 @@ func (c *LRUCache) Get(key string) ([]byte, bool) {
 	return nil, false
 }
 
+// Contains reports whether key is cached or being fetched, without counting
+// a hit or a miss and without touching recency: a peek for a caller
+// deciding whether fetching key too is worth it.
+func (c *LRUCache) Contains(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, cached := c.items[key]
+	_, inFlight := c.flight[key]
+	return cached || inFlight
+}
+
 // GetOrFetch returns the cached segment, calling fetch on a miss and
 // inserting the result. Concurrent callers missing on the same key share a
 // single fetch: one caller (the leader) runs fetch while the rest block and
@@ -116,8 +127,9 @@ func (c *LRUCache) GetOrFetch(key string, fetch func() ([]byte, error)) ([]byte,
 		c.verify(ent)
 		c.ll.MoveToFront(e)
 		c.hits.Add(1)
+		data := ent.data // read under c.mu: a Put may replace it
 		c.mu.Unlock()
-		return ent.data, nil
+		return data, nil
 	}
 	if fc, ok := c.flight[key]; ok {
 		c.shared.Add(1)
@@ -207,6 +219,9 @@ func (c *LRUCache) removeLocked(key string) {
 		c.ll.Remove(e)
 	}
 }
+
+// Capacity returns the byte bound the cache was created with.
+func (c *LRUCache) Capacity() int64 { return c.capacity }
 
 // UsedBytes returns the current cached volume.
 func (c *LRUCache) UsedBytes() int64 {

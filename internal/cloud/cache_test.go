@@ -153,3 +153,53 @@ func TestGetOrFetchManyKeys(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPutReplacesWhileHit: a Put that replaces a cached segment races no
+// concurrent GetOrFetch hit on the same key (a read-ahead may insert a
+// block while another caller's fetch of it is in flight). Every hit sees
+// one of the inserted segments whole. Meaningful under -race.
+func TestPutReplacesWhileHit(t *testing.T) {
+	c := NewLRUCache(1 << 10)
+	a, b := bytes.Repeat([]byte{'a'}, 8), bytes.Repeat([]byte{'b'}, 8)
+	c.Put("k", a)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 1000; i++ {
+			c.Put("k", [][]byte{a, b}[i%2])
+		}
+	}()
+	for i := 0; i < 1000; i++ {
+		got, err := c.GetOrFetch("k", func() ([]byte, error) { return a, nil })
+		if err != nil || !(bytes.Equal(got, a) || bytes.Equal(got, b)) {
+			t.Fatalf("hit %d: %q, %v", i, got, err)
+		}
+	}
+	wg.Wait()
+}
+
+// TestContainsPeeks: Contains sees cached and in-flight keys and counts no
+// hit or miss.
+func TestContainsPeeks(t *testing.T) {
+	c := NewLRUCache(1 << 10)
+	c.Put("cached", []byte("x"))
+	release := make(chan struct{})
+	started := make(chan struct{})
+	go func() {
+		_, _ = c.GetOrFetch("flying", func() ([]byte, error) {
+			close(started)
+			<-release
+			return []byte("y"), nil
+		})
+	}()
+	<-started
+	hits, misses := c.HitRate()
+	if !c.Contains("cached") || !c.Contains("flying") || c.Contains("absent") {
+		t.Fatal("Contains misreports cached, in-flight or absent keys")
+	}
+	if h, m := c.HitRate(); h != hits || m != misses {
+		t.Fatalf("Contains counted: hits %d→%d, misses %d→%d", hits, h, misses, m)
+	}
+	close(release)
+}

@@ -296,7 +296,33 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 // expansion lands between series other sets claimed, and one series has a
 // chunk overlapping the narrower ranges with every sample clipped.
 func TestQueryWorkersIdentical(t *testing.T) {
-	db := openTestDB(t, testOpts(""))
+	checkQueryWorkersIdentical(t, openTestDB(t, testOpts("")))
+}
+
+// smallCacheOpts is testOpts with a block cache a quarter of one table
+// (TargetTableSize 16 KB), which still lets a read-ahead run span two
+// 512-byte blocks: queries miss, evict and read ahead, and the workers of
+// one query race on the blocks their shared id cursor hands out.
+func smallCacheOpts(dir string) Options {
+	opts := testOpts(dir)
+	opts.CacheBytes = 4 << 10
+	return opts
+}
+
+// TestSmallCacheQueryWorkersIdentical is TestQueryWorkersIdentical over a
+// cache smaller than one table, with cache integrity checks on. Run under
+// -race by `make tier1-iter`.
+func TestSmallCacheQueryWorkersIdentical(t *testing.T) {
+	cloud.SetIntegrityChecks(true)
+	defer cloud.SetIntegrityChecks(false)
+	db := openTestDB(t, smallCacheOpts(""))
+	checkQueryWorkersIdentical(t, db)
+	if db.Cache().Evictions() == 0 {
+		t.Fatal("setup: the cache never evicted")
+	}
+}
+
+func checkQueryWorkersIdentical(t *testing.T, db *DB) {
 	const series = 24
 	ids := make([]uint64, series)
 	for i := range ids {
@@ -446,8 +472,8 @@ func TestQueryErrorNamesSeries(t *testing.T) {
 // tuple envelope still locates and prunes it, its decode fails.
 type corruptChunkStore struct{ ChunkStore }
 
-func (c corruptChunkStore) ChunksForInto(buf []lsm.ChunkRef, id uint64, mint, maxt int64) ([]lsm.ChunkRef, error) {
-	chunks, err := c.ChunkStore.ChunksForInto(buf, id, mint, maxt)
+func (c corruptChunkStore) ChunksForInto(buf []lsm.ChunkRef, ids []uint64, mint, maxt int64) ([]lsm.ChunkRef, error) {
+	chunks, err := c.ChunkStore.ChunksForInto(buf, ids, mint, maxt)
 	for i := range chunks {
 		v := chunks[i].Value
 		chunks[i].Value = append([]byte(nil), v[:len(v)/2]...)

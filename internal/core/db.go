@@ -30,12 +30,16 @@ import (
 type ChunkStore interface {
 	// Put inserts a serialized chunk.
 	Put(key encoding.Key, value []byte) error
-	// ChunksForInto returns the chunks of id overlapping [mint, maxt],
+	// ChunksForInto returns the chunks of ids[0] overlapping [mint, maxt],
 	// rank-sorted oldest first, appending into buf (overwritten from
-	// index 0) so per-query chunk lists reuse one backing array. The
+	// index 0) so per-query chunk lists reuse one backing array. ids[1:]
+	// is a hint, the ids the query reads next in ascending order: a store
+	// may fetch what they will read along with what ids[0] misses (the
+	// time-partitioned tree reads each table's run of adjacent missing
+	// blocks with one request), and may ignore it (TU-LDB does). The
 	// returned Values may alias immutable storage and must be treated as
 	// read-only (see lsm.ChunksForInto).
-	ChunksForInto(buf []lsm.ChunkRef, id uint64, mint, maxt int64) ([]lsm.ChunkRef, error)
+	ChunksForInto(buf []lsm.ChunkRef, ids []uint64, mint, maxt int64) ([]lsm.ChunkRef, error)
 	// Flush forces buffered data down and waits for background work.
 	Flush() error
 	// ApplyRetention drops data entirely older than the watermark.

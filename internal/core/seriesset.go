@@ -218,7 +218,7 @@ func (s *querySeriesSet) Next() bool {
 			return false
 		}
 		s.id, s.idx = r.ids[i], i
-		entries, err := r.db.entriesFor(r.tr, s.id, r.mint, r.maxt, r.matchers, s.onDec, s.buf[:0], s.sc)
+		entries, err := r.db.entriesFor(r.tr, r.ids[i:], r.mint, r.maxt, r.matchers, s.onDec, s.buf[:0], s.sc)
 		if err != nil {
 			s.end(err)
 			return false
@@ -280,21 +280,23 @@ func (s *querySeriesSet) At() SeriesEntry { return s.cur }
 
 func (s *querySeriesSet) Err() error { return s.err }
 
-// entriesFor locates one matched id's series entries, wrapping any failure
-// with the id so a multi-series query reports which series or group broke.
-// decoded (optional) accumulates payload bytes as the entries' iterators
-// lazily decode them. sc holds the reusable gather buffers; each returned
-// entry's iterator owns pooled decode state (release with
-// chunkenc.ReleaseIterator after draining it).
-func (db *DB) entriesFor(tr *obs.Trace, id uint64, mint, maxt int64, matchers []*labels.Matcher, onDec func(int), buf []SeriesEntry, sc *queryScratch) ([]SeriesEntry, error) {
+// entriesFor locates the series entries of ids[0], a matched id, wrapping
+// any failure with the id so a multi-series query reports which series or
+// group broke. ids[1:] are the query's later ids, the store's read-ahead
+// hint (ChunkStore.ChunksForInto). decoded (optional) accumulates payload
+// bytes as the entries' iterators lazily decode them. sc holds the reusable
+// gather buffers; each returned entry's iterator owns pooled decode state
+// (release with chunkenc.ReleaseIterator after draining it).
+func (db *DB) entriesFor(tr *obs.Trace, ids []uint64, mint, maxt int64, matchers []*labels.Matcher, onDec func(int), buf []SeriesEntry, sc *queryScratch) ([]SeriesEntry, error) {
+	id := ids[0]
 	if index.IsGroupID(id) {
-		entries, err := db.groupEntries(tr, id, mint, maxt, matchers, onDec, buf, sc)
+		entries, err := db.groupEntries(tr, ids, mint, maxt, matchers, onDec, buf, sc)
 		if err != nil {
 			return nil, fmt.Errorf("core: query group %d: %w", id, err)
 		}
 		return entries, nil
 	}
-	entries, err := db.seriesEntries(tr, id, mint, maxt, onDec, buf, sc)
+	entries, err := db.seriesEntries(tr, ids, mint, maxt, onDec, buf, sc)
 	if err != nil {
 		return nil, fmt.Errorf("core: query series %d: %w", id, err)
 	}
@@ -317,18 +319,20 @@ func (db *DB) onDecode(decoded *int64) func(int) {
 	}
 }
 
-// seriesEntries builds the lazy read pipeline for one individual series:
-// lazy LSM chunk sources and the head's open chunk merged rank-aware,
-// clipped to [mint, maxt]. No payload is decoded here. The chunk list and
-// source list live in sc's reused backing arrays; the returned iterator
-// owns copies of the sources, so sc may be reused on the next call.
-func (db *DB) seriesEntries(tr *obs.Trace, id uint64, mint, maxt int64, onDec func(int), buf []SeriesEntry, sc *queryScratch) ([]SeriesEntry, error) {
+// seriesEntries builds the lazy read pipeline for the individual series
+// ids[0] (ids[1:] is the read-ahead hint): lazy LSM chunk sources and the
+// head's open chunk merged rank-aware, clipped to [mint, maxt]. No payload
+// is decoded here. The chunk list and source list live in sc's reused
+// backing arrays; the returned iterator owns copies of the sources, so sc
+// may be reused on the next call.
+func (db *DB) seriesEntries(tr *obs.Trace, ids []uint64, mint, maxt int64, onDec func(int), buf []SeriesEntry, sc *queryScratch) ([]SeriesEntry, error) {
+	id := ids[0]
 	lbls, ok := db.head.SeriesLabels(id)
 	if !ok {
 		return buf, nil
 	}
 	sp := tr.StartSpan("lsm_read")
-	chunks, err := db.store.ChunksForInto(sc.chunks[:0], id, mint, maxt)
+	chunks, err := db.store.ChunksForInto(sc.chunks[:0], ids, mint, maxt)
 	if chunks != nil {
 		sc.chunks = chunks
 	}
@@ -351,16 +355,17 @@ func (db *DB) seriesEntries(tr *obs.Trace, id uint64, mint, maxt int64, onDec fu
 	return append(buf, SeriesEntry{Labels: lbls, Iterator: it}), nil
 }
 
-// groupEntries expands a matched group into its matching member timeseries
-// (second-level index, §2.4 challenge 3), each member a lazy merge of its
-// group-tuple columns and the head's open group chunk.
-func (db *DB) groupEntries(tr *obs.Trace, gid uint64, mint, maxt int64, matchers []*labels.Matcher, onDec func(int), buf []SeriesEntry, sc *queryScratch) ([]SeriesEntry, error) {
-	groupTags, members, ok := db.head.GroupInfo(gid)
+// groupEntries expands the matched group ids[0] (ids[1:] is the read-ahead
+// hint) into its matching member timeseries (second-level index, §2.4
+// challenge 3), each member a lazy merge of its group-tuple columns and the
+// head's open group chunk.
+func (db *DB) groupEntries(tr *obs.Trace, ids []uint64, mint, maxt int64, matchers []*labels.Matcher, onDec func(int), buf []SeriesEntry, sc *queryScratch) ([]SeriesEntry, error) {
+	groupTags, members, ok := db.head.GroupInfo(ids[0])
 	if !ok {
 		return buf, nil
 	}
 	sp := tr.StartSpan("lsm_read")
-	chunks, err := db.store.ChunksForInto(sc.chunks[:0], gid, mint, maxt)
+	chunks, err := db.store.ChunksForInto(sc.chunks[:0], ids, mint, maxt)
 	if chunks != nil {
 		sc.chunks = chunks
 	}
@@ -376,7 +381,7 @@ func (db *DB) groupEntries(tr *obs.Trace, gid uint64, mint, maxt int64, matchers
 		return nil, err
 	}
 	sp = tr.StartSpan("head_scan")
-	headBySlot := db.head.HeadGroupIterators(gid, mint, maxt)
+	headBySlot := db.head.HeadGroupIterators(ids[0], mint, maxt)
 	sp.End()
 	// Walk slots in order (not map order) so the assembled result is
 	// deterministic before any final label sort.

@@ -38,7 +38,7 @@ func legacySeries(t testing.TB, db *DB, id uint64, mint, maxt int64) (Series, bo
 	if !ok {
 		return Series{}, false
 	}
-	chunks, err := db.store.ChunksForInto(nil, id, mint, maxt)
+	chunks, err := db.store.ChunksForInto(nil, []uint64{id}, mint, maxt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func legacyGroup(t testing.TB, db *DB, gid uint64, mint, maxt int64, matchers []
 	if !ok {
 		return nil
 	}
-	chunks, err := db.store.ChunksForInto(nil, gid, mint, maxt)
+	chunks, err := db.store.ChunksForInto(nil, []uint64{gid}, mint, maxt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,6 +316,31 @@ func FuzzStreamingQuery(f *testing.F) {
 		maxT := loadRandomWorkload(t, db, rnd, 20+int(rounds))
 		checkStreamingIdentity(t, db, rnd, maxT)
 	})
+}
+
+// TestSmallCacheStreamingIdentity runs FuzzStreamingQuery's seed corpus
+// over a cache smaller than one table, with cache integrity checks on, so
+// every identity check also crosses misses, evictions and read-aheads. Run
+// under -race by `make tier1-iter`.
+func TestSmallCacheStreamingIdentity(t *testing.T) {
+	cloud.SetIntegrityChecks(true)
+	defer cloud.SetIntegrityChecks(false)
+	var evictions uint64
+	for _, seed := range []struct {
+		seed   int64
+		rounds uint8
+	}{{1, 80}, {20260806, 200}, {-99, 10}} {
+		t.Run(fmt.Sprint(seed.seed), func(t *testing.T) {
+			rnd := rand.New(rand.NewSource(seed.seed))
+			db := openTestDB(t, smallCacheOpts(t.TempDir()))
+			maxT := loadRandomWorkload(t, db, rnd, 20+int(seed.rounds))
+			checkStreamingIdentity(t, db, rnd, maxT)
+			evictions += db.Cache().Evictions()
+		})
+	}
+	if evictions == 0 {
+		t.Fatal("setup: no cache ever evicted")
+	}
 }
 
 // TestNarrowRangeDecodeShrink asserts the satellite guarantee: a narrow

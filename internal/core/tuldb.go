@@ -46,9 +46,10 @@ func (s *ldbChunkStore) Put(key encoding.Key, value []byte) error {
 	return s.db.Put(key[:], value)
 }
 
-// ChunksForInto implements ChunkStore, appending into buf (overwritten from
-// index 0).
-func (s *ldbChunkStore) ChunksForInto(buf []lsm.ChunkRef, id uint64, mint, maxt int64) ([]lsm.ChunkRef, error) {
+// ChunksForInto implements ChunkStore for ids[0], appending into buf
+// (overwritten from index 0). The read-ahead hint ids[1:] is ignored.
+func (s *ldbChunkStore) ChunksForInto(buf []lsm.ChunkRef, ids []uint64, mint, maxt int64) ([]lsm.ChunkRef, error) {
+	id := ids[0]
 	start := encoding.MakeKey(id, math.MinInt64)
 	var end []byte
 	if id != math.MaxUint64 {

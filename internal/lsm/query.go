@@ -8,6 +8,7 @@ import (
 	"timeunion/internal/chunkenc"
 	"timeunion/internal/encoding"
 	"timeunion/internal/memtable"
+	"timeunion/internal/sstable"
 	"timeunion/internal/tuple"
 )
 
@@ -39,28 +40,64 @@ type tableScan struct {
 type scanScratch struct {
 	scans []tableScan
 	mems  []*memtable.MemTable
+	ahead readAhead
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
+// readAhead is the sstable.ReadAhead of one table scan: the blocks that
+// the scan's id and the query's later ids load from the same table. It is
+// a field of the pooled scanScratch, so handing it to a scan allocates
+// nothing, and it does its work only when the scan misses the cache.
+type readAhead struct {
+	tbl    *sstable.Table
+	ids    []uint64 // the id being read, then the query's later ids in order
+	lastID uint64   // the table's last id
+	startT int64    // the partition's minT, where every id's scan starts
+	endT   int64    // maxt+1, where every id's scan ends
+}
+
+// RunEnd walks the ids in order and extends the run with each id's blocks,
+// [BlockFor(id, startT), BlockFor(id, endT)], until an id is past the
+// table or its first block lies past the run (a gap), or limit is reached.
+func (ra *readAhead) RunEnd(i, limit int) int {
+	last := i
+	for _, id := range ra.ids {
+		if id > ra.lastID || last >= limit {
+			break
+		}
+		start, end := encoding.MakeKey(id, ra.startT), encoding.MakeKey(id, ra.endT)
+		if ra.tbl.BlockFor(start[:]) > last+1 {
+			break
+		}
+		last = max(last, ra.tbl.BlockFor(end[:]))
+	}
+	return last
+}
 
 // ChunksFor returns every chunk of the series/group id whose samples
 // overlap [mint, maxt], gathered from the active memtable, the immutable
 // queue, and all three levels (including L2 patches), sorted by ascending
 // rank (oldest source first).
 func (l *LSM) ChunksFor(id uint64, mint, maxt int64) ([]ChunkRef, error) {
-	return l.ChunksForInto(nil, id, mint, maxt)
+	return l.ChunksForInto(nil, []uint64{id}, mint, maxt)
 }
 
-// ChunksForInto is ChunksFor appending into buf (which may be a reused
-// backing array; it is overwritten from index 0). The returned ChunkRef
-// Values are zero-copy: they alias immutable storage — cache-resident
-// SSTable blocks and memtable values, both immutable after insert — and
-// must be treated as read-only. The aliases stay valid for as long as they
-// are referenced; overwriting buf on the next call drops them.
-func (l *LSM) ChunksForInto(buf []ChunkRef, id uint64, mint, maxt int64) ([]ChunkRef, error) {
+// ChunksForInto is ChunksFor of ids[0] appending into buf (which may be a
+// reused backing array; it is overwritten from index 0). ids[1:] is a
+// read-ahead hint: the ids the caller reads next, ascending. A table scan
+// that misses the block cache fetches, with the same store read, the
+// adjacent blocks those ids will load from that table (sstable.ReadAhead),
+// so a query pays one read per run of missing blocks, not one per block.
+// The returned ChunkRef Values are zero-copy: they alias immutable storage
+// — cache-resident SSTable blocks and memtable values, both immutable after
+// insert — and must be treated as read-only. The aliases stay valid for as
+// long as they are referenced; overwriting buf on the next call drops them.
+func (l *LSM) ChunksForInto(buf []ChunkRef, ids []uint64, mint, maxt int64) ([]ChunkRef, error) {
 	if maxt == math.MaxInt64 {
 		maxt--
 	}
+	id := ids[0]
 	sc := scanScratchPool.Get().(*scanScratch)
 	scans := sc.scans[:0]
 	mems := sc.mems[:0]
@@ -71,7 +108,7 @@ func (l *LSM) ChunksForInto(buf []ChunkRef, id uint64, mint, maxt int64) ([]Chun
 		for i := range mems {
 			mems[i] = nil
 		}
-		sc.scans, sc.mems = scans[:0], mems[:0]
+		sc.scans, sc.mems, sc.ahead = scans[:0], mems[:0], readAhead{}
 		scanScratchPool.Put(sc)
 	}()
 
@@ -113,6 +150,8 @@ func (l *LSM) ChunksForInto(buf []ChunkRef, id uint64, mint, maxt int64) ([]Chun
 		start := encoding.MakeKey(id, s.startT)
 		end := encoding.MakeKey(id, maxt+1)
 		it := s.h.tbl.Iter(start[:], end[:])
+		sc.ahead = readAhead{tbl: s.h.tbl, ids: ids, lastID: s.h.lastID, startT: s.startT, endT: maxt + 1}
+		it.SetReadAhead(&sc.ahead)
 		for it.Next() {
 			key, err := encoding.ParseKey(it.Key())
 			if err != nil {

@@ -100,9 +100,10 @@ func (z *inflater) inflate(payload []byte) (int, error) {
 // Table is an open SSTable backed by a cloud store object. The footer,
 // index block, and bloom filter are read once at open time and pinned; data
 // blocks are fetched on demand through an optional shared LRU cache of
-// decoded blocks, so a point or range query pays one store read and one
-// inflate per touched block that is not already cached — the cost model of
-// Equations 4 and 6 on the slow tier, an IOP on the fast one.
+// decoded blocks. A scan that misses pays one store read for the run of
+// adjacent missing blocks its caller will read next (see ReadAhead), and
+// one inflate per block — the cost model of Equations 4 and 6 on the slow
+// tier, counted per run rather than per block; an IOP on the fast one.
 type Table struct {
 	store    cloud.Store
 	storeKey string
@@ -175,7 +176,10 @@ func openTable(store cloud.Store, storeKey string, cache *cloud.LRUCache, size i
 	if d.Err() != nil || magic != tableMagic {
 		return nil, fmt.Errorf("%w: %s: bad footer", ErrCorrupt, storeKey)
 	}
-	if indexOff+indexLen > uint64(size) || bloomOff+bloomLen > uint64(size) {
+	// The writer lays out data | index | bloom | footer, so the index and
+	// the bloom filter come back in one read.
+	metaEnd := bloomOff + bloomLen
+	if indexOff+indexLen < indexOff || metaEnd < bloomOff || bloomOff != indexOff+indexLen || metaEnd > uint64(size) {
 		return nil, fmt.Errorf("%w: %s: footer offsets out of range", ErrCorrupt, storeKey)
 	}
 
@@ -186,17 +190,27 @@ func openTable(store cloud.Store, storeKey string, cache *cloud.LRUCache, size i
 		size:       size,
 		numEntries: numEntries,
 	}
-	ib, err := readRange(int64(indexOff), int64(indexLen))
+	meta, err := readRange(int64(indexOff), int64(metaEnd-indexOff))
 	if err != nil {
 		return nil, err
 	}
+	if uint64(len(meta)) != metaEnd-indexOff {
+		return nil, fmt.Errorf("%w: %s: short metadata read", ErrCorrupt, storeKey)
+	}
+	ib := meta[:indexLen]
 	id := encoding.NewDecbuf(ib)
 	n := id.Uvarint()
-	for i := uint64(0); i < n; i++ {
+	var end uint64 // blocks are contiguous from offset 0, so a run is one range
+	for i := uint64(0); i < n && id.Err() == nil; i++ {
 		k := append([]byte(nil), id.UvarintBytes()...)
+		off, length := id.Uvarint(), id.Uvarint()
+		if off != end || length > indexOff-off {
+			return nil, fmt.Errorf("%w: %s: index block %d out of range", ErrCorrupt, storeKey, i)
+		}
+		end += length
 		t.indexKeys = append(t.indexKeys, k)
-		t.indexOffs = append(t.indexOffs, id.Uvarint())
-		t.indexLens = append(t.indexLens, id.Uvarint())
+		t.indexOffs = append(t.indexOffs, off)
+		t.indexLens = append(t.indexLens, length)
 	}
 	if id.Err() != nil {
 		return nil, fmt.Errorf("%w: %s: corrupt index block: %w", ErrCorrupt, storeKey, id.Err())
@@ -209,15 +223,9 @@ func openTable(store cloud.Store, storeKey string, cache *cloud.LRUCache, size i
 			t.cacheKeys[i] = fmt.Sprintf("%s#%d", storeKey, t.indexOffs[i])
 		}
 	}
-	t.bloom, err = readRange(int64(bloomOff), int64(bloomLen))
-	if err != nil {
-		return nil, err
-	}
-	if data != nil {
-		// Copy only in the from-bytes path, where the range aliases caller
-		// memory that may be reused; store reads hand us a private buffer.
-		t.bloom = append([]byte(nil), t.bloom...)
-	}
+	// A copy, so the pinned filter holds neither the index bytes nor, in the
+	// from-bytes path, caller memory that may be reused.
+	t.bloom = append([]byte(nil), meta[indexLen:]...)
 	// First key: first entry of the first block, read past the cache — an
 	// open is not a query, and must not evict what queries are using.
 	if len(t.indexOffs) > 0 {
@@ -267,29 +275,105 @@ func (t *Table) MetaBytes() int64 {
 	return n
 }
 
+// ReadAhead tells a scan which blocks its caller reads after the current
+// one. A TableIterator asks it only when block i misses the cache, and
+// only then does the answer cost anything: RunEnd returns the last block,
+// at most limit, of the gap-free run from block i that the caller's next
+// reads of this table load.
+type ReadAhead interface {
+	RunEnd(i, limit int) int
+}
+
 // loadBlock fetches and verifies data block i. With a cache attached the
 // fetch goes through the cache's singleflight path, so concurrent query
-// workers missing on the same block issue one store read and one inflate.
-func (t *Table) loadBlock(i int) ([]byte, error) {
-	fetch := func() ([]byte, error) {
-		raw, err := t.store.GetRange(t.storeKey, int64(t.indexOffs[i]), int64(t.indexLens[i]))
-		if err != nil {
-			return nil, err
-		}
-		return t.decode(raw, i)
-	}
+// workers missing on the same block issue one store read and one inflate;
+// with ra set, the same read also fetches the blocks ra says come next (see
+// fetchRun). Without a cache nothing is read ahead.
+func (t *Table) loadBlock(i int, ra ReadAhead) ([]byte, error) {
 	if t.cache == nil {
 		// No cache means no singleflight leader to retry for us; apply the
 		// bounded retry here so transient blips do not fail the read.
 		var out []byte
 		err := cloud.DefaultRetry.Do(func() error {
-			var err error
-			out, err = fetch()
+			raw, err := t.store.GetRange(t.storeKey, int64(t.indexOffs[i]), int64(t.indexLens[i]))
+			if err == nil {
+				out, err = t.decode(raw, i)
+			}
 			return err
 		})
 		return out, err
 	}
-	return t.cache.GetOrFetch(t.cacheKeys[i], fetch)
+	return t.cache.GetOrFetch(t.cacheKeys[i], func() ([]byte, error) { return t.fetchRun(i, ra) })
+}
+
+// fetchRun is the cache-miss fetch of block i. It reads block i and the
+// blocks after it that ra names with one GetRange, Puts the blocks after i
+// and returns block i for GetOrFetch to insert. The run ends before the
+// first block already cached or being fetched, and spans at most a quarter
+// of the cache's capacity, so its blocks cannot push each other out. They
+// are Put farthest first: the LRU then ages them out in the reverse of the
+// order the caller reads them. A block after i that fails to decode is not
+// cached; its own load reports it.
+func (t *Table) fetchRun(i int, ra ReadAhead) ([]byte, error) {
+	last := i
+	if ra != nil {
+		limit := t.maxRunEnd(i)
+		last = t.trimRun(i, min(ra.RunEnd(i, limit), limit))
+	}
+	off := t.indexOffs[i]
+	span, err := t.store.GetRange(t.storeKey, int64(off), int64(t.indexOffs[last]+t.indexLens[last]-off))
+	if err != nil {
+		return nil, err
+	}
+	if last == i {
+		return t.decode(span, i)
+	}
+	for j := last; j > i; j-- {
+		if blk, err := t.decodeFromSpan(span, off, j); err == nil {
+			t.cache.Put(t.cacheKeys[j], blk)
+		}
+	}
+	return t.decodeFromSpan(span, off, i)
+}
+
+// maxRunEnd is the last block a run from block i may reach: its stored
+// bytes stay within a quarter of the cache's capacity.
+func (t *Table) maxRunEnd(i int) int {
+	budget := t.cache.Capacity()/4 - int64(t.indexLens[i])
+	j := i
+	for j+1 < len(t.indexLens) && budget >= int64(t.indexLens[j+1]) {
+		j++
+		budget -= int64(t.indexLens[j])
+	}
+	return j
+}
+
+// trimRun cuts the run (i, last] before its first block that is cached or
+// in flight: that block costs the caller no GET of its own.
+func (t *Table) trimRun(i, last int) int {
+	for j := i + 1; j <= last; j++ {
+		if t.cache.Contains(t.cacheKeys[j]) {
+			return j - 1
+		}
+	}
+	return max(last, i)
+}
+
+// decodeFromSpan decodes block j out of a multi-block span that starts at
+// file offset off. A raw block is copied out to an exact-size slice, so the
+// cached block does not pin its neighbours' bytes beyond the cache's
+// accounting; an inflated block is a fresh slice already.
+func (t *Table) decodeFromSpan(span []byte, off uint64, j int) ([]byte, error) {
+	lo, hi := t.indexOffs[j]-off, t.indexOffs[j]+t.indexLens[j]-off
+	if hi > uint64(len(span)) {
+		return nil, fmt.Errorf("%w: %s: block %d: short read", ErrCorrupt, t.storeKey, j)
+	}
+	raw := span[lo:hi]
+	blk, err := t.decode(raw, j)
+	if err != nil || raw[0] != blockRaw {
+		return blk, err
+	}
+	return append(make([]byte, 0, len(blk)), blk...), nil
 }
 
 // decode is decodeBlock with the table and block named in the error.
@@ -311,9 +395,10 @@ func (t *Table) DropCached() {
 	}
 }
 
-// blockFor returns the index of the first block whose last key >= key,
-// or len(blocks) if key is past the end.
-func (t *Table) blockFor(key []byte) int {
+// BlockFor returns the index of the first block whose last key >= key, or
+// the number of blocks if key is past the end: the block an Iter starting
+// at key loads first, and the last block one ending at key loads.
+func (t *Table) BlockFor(key []byte) int {
 	lo, hi := 0, len(t.indexKeys)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -335,11 +420,11 @@ func (t *Table) Get(key []byte) ([]byte, bool, error) {
 	if !bloomMayContain(t.bloom, key) {
 		return nil, false, nil
 	}
-	bi := t.blockFor(key)
+	bi := t.BlockFor(key)
 	if bi >= len(t.indexKeys) {
 		return nil, false, nil
 	}
-	blk, err := t.loadBlock(bi)
+	blk, err := t.loadBlock(bi, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -367,7 +452,7 @@ func (t *Table) Iter(start, end []byte) *TableIterator {
 	*it = TableIterator{t: t, end: end}
 	it.blk.key = keyScratch
 	if start != nil {
-		it.nextBlock = t.blockFor(start)
+		it.nextBlock = t.BlockFor(start)
 		it.skipTo = start
 	}
 	return it
@@ -402,6 +487,7 @@ func (t *Table) IterWhole() *TableIterator {
 type TableIterator struct {
 	t         *Table
 	whole     []byte // the table's bytes when set (IterWhole): blocks come from here
+	ra        ReadAhead
 	end       []byte
 	nextBlock int
 	blk       blockIter
@@ -411,11 +497,15 @@ type TableIterator struct {
 	done      bool
 }
 
+// SetReadAhead makes the scan's cache misses fetch the blocks ra names
+// along with the missing one. The iterator holds ra until Release.
+func (it *TableIterator) SetReadAhead(ra ReadAhead) { it.ra = ra }
+
 // loadBlock returns decoded block i: from the fetched table bytes of an
 // IterWhole scan, through the table's cache and store otherwise.
 func (it *TableIterator) loadBlock(i int) ([]byte, error) {
 	if it.whole == nil {
-		return it.t.loadBlock(i)
+		return it.t.loadBlock(i, it.ra)
 	}
 	off, n := it.t.indexOffs[i], it.t.indexLens[i]
 	if off+n < off || off+n > uint64(len(it.whole)) {
