@@ -4,10 +4,12 @@ GO ?= go
 
 # tier1 is the gate every change must keep green: full build + full test run
 # (go test ./... includes TestNoIgnoredDiagnostics, the in-process tulint
-# gate) + the standalone invariant suite.
+# gate) + one iteration of the append and WAL-record benchmarks (WAL off and
+# on), so they cannot break unnoticed + the standalone invariant suite.
 tier1:
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) test -run '^$$' -bench 'AppendFast|AppendGroupFast|CommitBatch' -benchtime 1x ./internal/head ./internal/wal
 	$(MAKE) lint
 
 # tier1-faults is the crash-safety gate: vet plus 50 randomized

@@ -84,6 +84,7 @@ func AblPatchThreshold(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
+		tree := e.db.ChunkStoreRef().(*lsm.LSM)
 		gen := tsbs.NewGenerator(hosts, interval, interval, cfg.Seed+7)
 		rnd := rand.New(rand.NewSource(cfg.Seed))
 		for round := 0; round < rounds; round++ {
@@ -102,12 +103,20 @@ func AblPatchThreshold(cfg Config) (*Report, error) {
 					return nil, err
 				}
 			}
+			// Drain flushes and compactions after every round: whether an
+			// out-of-order chunk lands as a patch, and when patches merge,
+			// then depends on the seed alone, not on how far background
+			// work got while the foreground ran. A round fills well under
+			// one memtable, so no two flushes race inside it.
+			if err := tree.WaitIdle(); err != nil {
+				e.close()
+				return nil, err
+			}
 		}
 		if err := e.flush(); err != nil {
 			e.close()
 			return nil, err
 		}
-		tree := e.db.ChunkStoreRef().(*lsm.LSM)
 		st := tree.Stats()
 		slowPuts := e.t.slow.Stats().Puts
 

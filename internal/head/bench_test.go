@@ -6,15 +6,39 @@ import (
 
 	"timeunion/internal/encoding"
 	"timeunion/internal/labels"
+	"timeunion/internal/wal"
 )
 
-func benchHead(b *testing.B) (*Head, []uint64) {
+// walModes names the two configurations the append benchmarks run in:
+// without a WAL, and with one in the benchmark's temporary directory, as
+// a durable deployment runs.
+var walModes = []string{"nowal", "wal"}
+
+// newBenchHead returns a head whose flushed chunks go nowhere, logging to a
+// WAL in b.TempDir() when mode is "wal".
+func newBenchHead(b *testing.B, mode string) *Head {
 	b.Helper()
-	h, err := New(Options{Sink: func(encoding.Key, []byte) error { return nil }})
+	opts := Options{Sink: func(encoding.Key, []byte) error { return nil }}
+	if mode == "wal" {
+		w, err := wal.Open(b.TempDir(), wal.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { w.Close() })
+		opts.WAL = w
+	}
+	h, err := New(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { h.Close() })
+	return h
+}
+
+func benchHead(b *testing.B, mode string) (*Head, []uint64) {
+	b.Helper()
+	h := newBenchHead(b, mode)
+	var err error
 	ids := make([]uint64, 1000)
 	for i := range ids {
 		ids[i], err = h.Append(labels.FromStrings(
@@ -27,22 +51,27 @@ func benchHead(b *testing.B) (*Head, []uint64) {
 	return h, ids
 }
 
-// BenchmarkAppendFast measures the §3.4 fast-path insert.
+// BenchmarkAppendFast measures the §3.4 fast-path insert, without and with
+// a WAL.
 func BenchmarkAppendFast(b *testing.B) {
-	h, ids := benchHead(b)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := h.AppendFast(ids[i%len(ids)], int64(i+1)*10, float64(i)); err != nil {
-			b.Fatal(err)
-		}
+	for _, mode := range walModes {
+		b.Run(mode, func(b *testing.B) {
+			h, ids := benchHead(b, mode)
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := h.AppendFast(ids[i%len(ids)], int64(i+1)*10, float64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkAppendSlow measures the §3.4 slow-path insert (tag comparison on
 // every call).
 func BenchmarkAppendSlow(b *testing.B) {
-	h, _ := benchHead(b)
+	h, _ := benchHead(b, "nowal")
 	ls := labels.FromStrings("measurement", "cpu", "field", "f1", "hostname", "host_1")
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -53,27 +82,28 @@ func BenchmarkAppendSlow(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendGroupFast measures one 101-member group round.
+// BenchmarkAppendGroupFast measures one 101-member group round, without
+// and with a WAL.
 func BenchmarkAppendGroupFast(b *testing.B) {
-	h, err := New(Options{Sink: func(encoding.Key, []byte) error { return nil }})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { h.Close() })
-	uniques := make([]labels.Labels, 101)
-	vals := make([]float64, 101)
-	for i := range uniques {
-		uniques[i] = labels.FromStrings("field", fmt.Sprintf("f%d", i))
-	}
-	gid, slots, err := h.AppendGroup(labels.FromStrings("hostname", "host_0"), uniques, 0, vals)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := h.AppendGroupFast(gid, slots, int64(i+1)*10, vals); err != nil {
-			b.Fatal(err)
-		}
+	for _, mode := range walModes {
+		b.Run(mode, func(b *testing.B) {
+			h := newBenchHead(b, mode)
+			uniques := make([]labels.Labels, 101)
+			vals := make([]float64, 101)
+			for i := range uniques {
+				uniques[i] = labels.FromStrings("field", fmt.Sprintf("f%d", i))
+			}
+			gid, slots, err := h.AppendGroup(labels.FromStrings("hostname", "host_0"), uniques, 0, vals)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := h.AppendGroupFast(gid, slots, int64(i+1)*10, vals); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

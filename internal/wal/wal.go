@@ -21,7 +21,9 @@
 // pending buffer and Commit writes them as one record, and LogFlushMarks
 // writes one flush's marks as one record (DESIGN.md §4.6). Inside a batch,
 // a sample that continues the previous one (next id, same seq and t) is
-// logged as its value alone.
+// logged as its value alone. Every record, catalog ones included, is built
+// in a buffer the WAL owns behind room for its header and reaches the file
+// in one write(2).
 //
 // Purge is conservative: a segment is removed only when every sample record
 // in it is at or below its series' flushed sequence. That includes the
@@ -96,11 +98,16 @@ type WAL struct {
 	segIdx  int
 	segSize int
 
-	// pending holds staged batch entries behind a recBatch type byte
-	// (empty when nothing is staged); pendingN counts them. Commit writes
-	// pending as one record.
+	// pending holds staged batch entries behind the header room and a
+	// recBatch type byte (meaningless when pendingN is 0); pendingN counts
+	// them. Commit frames pending in place and writes it as one record.
 	pending  encoding.Buf
 	pendingN int
+	// rec is where every other record (one sample or group round, one
+	// flush's marks, one catalog definition) is built behind the header
+	// room and written from, so such a record costs one write(2) and, once
+	// rec has grown, no allocation.
+	rec encoding.Buf
 	// last is the sample staged last in the pending batch, which the next
 	// staged sample may continue (recSampleNext); ok is false when the
 	// batch is empty or its last entry is a group round.
@@ -262,35 +269,36 @@ func syncDir(dir string) error {
 	return err
 }
 
-// appendRecord frames and writes one record: uvarint len | crc32 | payload.
-func appendRecord(f *os.File, payload []byte) (int, error) {
-	var hdr encoding.Buf
-	hdr.PutUvarint(uint64(len(payload)))
-	hdr.PutBE32(crc32.Checksum(payload, crcTable))
-	if _, err := f.Write(hdr.Get()); err != nil {
-		return 0, err
-	}
-	if _, err := f.Write(payload); err != nil {
-		return 0, err
-	}
-	return hdr.Len() + len(payload), nil
+// hdrRoom is the room every record buffer reserves at its front for the
+// record's header: its payload length as a uvarint (at most 5 bytes, since a
+// payload is far below 32 GiB) and the payload's CRC-32C.
+const hdrRoom = binary.MaxVarintLen32 + 4
+
+// beginRecord resets b to an empty record: hdrRoom bytes of header room and
+// no payload yet.
+func beginRecord(b *encoding.Buf) *encoding.Buf {
+	b.B = append(b.B[:0], make([]byte, hdrRoom)...)
+	return b
 }
 
-// writeSample writes one single-entry record. A pending batch is committed
-// first, so file order always equals call order.
-func (w *WAL) writeSample(payload []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.commitLocked(); err != nil {
-		return err
-	}
-	return w.appendLocked(payload, 1)
+// writeRecord frames the record built in rec (hdrRoom bytes of room, then
+// the payload) and writes it with one Write: uvarint len | crc32 | payload.
+// The header goes right-aligned into the room, so the payload is not copied.
+func writeRecord(f *os.File, rec []byte) (int, error) {
+	payload := rec[hdrRoom:]
+	var lenBuf [binary.MaxVarintLen32]byte
+	n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
+	start := hdrRoom - 4 - n
+	copy(rec[start:], lenBuf[:n])
+	binary.BigEndian.PutUint32(rec[hdrRoom-4:], crc32.Checksum(payload, crcTable))
+	return f.Write(rec[start:])
 }
 
-// appendLocked writes one framed record holding entries entries and rolls
-// the segment once it reaches its size bound. The caller holds w.mu.
-func (w *WAL) appendLocked(payload []byte, entries int) error {
-	n, err := appendRecord(w.seg, payload)
+// appendLocked writes the record built in rec, which holds entries
+// entries, to the active segment and rolls the segment once it reaches its
+// size bound. The caller holds w.mu.
+func (w *WAL) appendLocked(rec []byte, entries int) error {
+	n, err := writeRecord(w.seg, rec)
 	if err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
@@ -309,8 +317,7 @@ func (w *WAL) pendingLocked() (*encoding.Buf, error) {
 		return nil, w.failed
 	}
 	if w.pendingN == 0 {
-		w.pending.Reset()
-		w.pending.PutByte(recBatch)
+		beginRecord(&w.pending).PutByte(recBatch)
 		w.last.ok = false
 	}
 	w.pendingN++
@@ -320,7 +327,7 @@ func (w *WAL) pendingLocked() (*encoding.Buf, error) {
 // commitIfFullLocked commits the pending batch early once it passes
 // maxPendingBytes. The caller holds w.mu.
 func (w *WAL) commitIfFullLocked() error {
-	if w.pending.Len() < maxPendingBytes {
+	if w.pending.Len()-hdrRoom < maxPendingBytes {
 		return nil
 	}
 	return w.commitLocked()
@@ -337,7 +344,7 @@ func (w *WAL) commitLocked() error {
 	}
 	n := w.pendingN
 	w.pendingN = 0
-	if err := w.appendLocked(w.pending.Get(), n); err != nil {
+	if err := w.appendLocked(w.pending.B, n); err != nil {
 		w.failed = err
 		return err
 	}
@@ -415,10 +422,10 @@ func (w *WAL) rollLocked() (err error) {
 	return w.openSegment()
 }
 
-func (w *WAL) writeCatalog(payload []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, err := appendRecord(w.catalog, payload); err != nil {
+// writeCatalogLocked writes the record built in w.rec to the catalog. The
+// caller holds w.mu.
+func (w *WAL) writeCatalogLocked() error {
+	if _, err := writeRecord(w.catalog, w.rec.B); err != nil {
 		return fmt.Errorf("wal: append catalog: %w", err)
 	}
 	return nil
@@ -426,37 +433,49 @@ func (w *WAL) writeCatalog(payload []byte) error {
 
 // LogSeries records a new individual timeseries definition.
 func (w *WAL) LogSeries(id uint64, ls labels.Labels) error {
-	var b encoding.Buf
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	b := beginRecord(&w.rec)
 	b.PutByte(recSeries)
 	b.PutUvarint(id)
 	b.B = ls.Bytes(b.B)
-	return w.writeCatalog(b.Get())
+	return w.writeCatalogLocked()
 }
 
 // LogGroup records a new group definition with its shared tags.
 func (w *WAL) LogGroup(gid uint64, groupTags labels.Labels) error {
-	var b encoding.Buf
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	b := beginRecord(&w.rec)
 	b.PutByte(recGroup)
 	b.PutUvarint(gid)
 	b.B = groupTags.Bytes(b.B)
-	return w.writeCatalog(b.Get())
+	return w.writeCatalogLocked()
 }
 
 // LogGroupMember records a member appended to a group's timeseries array.
 func (w *WAL) LogGroupMember(gid uint64, slot uint32, unique labels.Labels) error {
-	var b encoding.Buf
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	b := beginRecord(&w.rec)
 	b.PutByte(recGroupMember)
 	b.PutUvarint(gid)
 	b.PutUvarint(uint64(slot))
 	b.B = unique.Bytes(b.B)
-	return w.writeCatalog(b.Get())
+	return w.writeCatalogLocked()
 }
 
-// LogSample records one sample of an individual series.
+// LogSample records one sample of an individual series as its own record.
+// A pending batch is committed first, so file order always equals call
+// order.
 func (w *WAL) LogSample(id, seq uint64, t int64, v float64) error {
-	var b encoding.Buf
-	putSample(&b, id, seq, t, v)
-	return w.writeSample(b.Get())
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.commitLocked(); err != nil {
+		return err
+	}
+	putSample(beginRecord(&w.rec), id, seq, t, v)
+	return w.appendLocked(w.rec.B, 1)
 }
 
 func putSample(b *encoding.Buf, id, seq uint64, t int64, v float64) {
@@ -467,14 +486,19 @@ func putSample(b *encoding.Buf, id, seq uint64, t int64, v float64) {
 	b.PutBE64(math.Float64bits(v))
 }
 
-// LogGroupSample records one shared-timestamp insertion round of a group.
+// LogGroupSample records one shared-timestamp insertion round of a group as
+// its own record; see LogSample.
 func (w *WAL) LogGroupSample(gid, seq uint64, t int64, slots []uint32, vals []float64) error {
 	if len(slots) != len(vals) {
 		return fmt.Errorf("wal: group sample slots/vals mismatch: %d vs %d", len(slots), len(vals))
 	}
-	var b encoding.Buf
-	putGroupSample(&b, gid, seq, t, slots, vals)
-	return w.writeSample(b.Get())
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.commitLocked(); err != nil {
+		return err
+	}
+	putGroupSample(beginRecord(&w.rec), gid, seq, t, slots, vals)
+	return w.appendLocked(w.rec.B, 1)
 }
 
 func putGroupSample(b *encoding.Buf, gid, seq uint64, t int64, slots []uint32, vals []float64) {
@@ -501,17 +525,14 @@ func (w *WAL) LogFlushMarks(marks []FlushMark) error {
 	if err := w.commitLocked(); err != nil {
 		return err
 	}
-	// The committed batch leaves the pending buffer free to build the
-	// record in; the next staged entry resets it.
-	b := &w.pending
-	b.Reset()
+	b := beginRecord(&w.rec)
 	b.PutByte(recBatch)
 	for _, m := range marks {
 		b.PutByte(recFlushMark)
 		b.PutUvarint(m.ID)
 		b.PutUvarint(m.Seq)
 	}
-	if err := w.appendLocked(b.Get(), len(marks)); err != nil {
+	if err := w.appendLocked(b.B, len(marks)); err != nil {
 		return err
 	}
 	for _, m := range marks {
