@@ -16,7 +16,7 @@ var walModes = []string{"nowal", "wal"}
 
 // newBenchHead returns a head whose flushed chunks go nowhere, logging to a
 // WAL in b.TempDir() when mode is "wal".
-func newBenchHead(b *testing.B, mode string) *Head {
+func newBenchHead(b testing.TB, mode string) *Head {
 	b.Helper()
 	opts := Options{Sink: func(encoding.Key, []byte) error { return nil }}
 	if mode == "wal" {
@@ -87,16 +87,7 @@ func BenchmarkAppendSlow(b *testing.B) {
 func BenchmarkAppendGroupFast(b *testing.B) {
 	for _, mode := range walModes {
 		b.Run(mode, func(b *testing.B) {
-			h := newBenchHead(b, mode)
-			uniques := make([]labels.Labels, 101)
-			vals := make([]float64, 101)
-			for i := range uniques {
-				uniques[i] = labels.FromStrings("field", fmt.Sprintf("f%d", i))
-			}
-			gid, slots, err := h.AppendGroup(labels.FromStrings("hostname", "host_0"), uniques, 0, vals)
-			if err != nil {
-				b.Fatal(err)
-			}
+			h, gid, slots, vals := benchGroup(b, mode)
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -105,5 +96,41 @@ func BenchmarkAppendGroupFast(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// benchGroup returns a head holding one 101-member group, its ID and
+// member slots, and a round's values.
+func benchGroup(tb testing.TB, mode string) (*Head, uint64, []int, []float64) {
+	h := newBenchHead(tb, mode)
+	uniques := make([]labels.Labels, 101)
+	vals := make([]float64, 101)
+	for i := range uniques {
+		uniques[i] = labels.FromStrings("field", fmt.Sprintf("f%d", i))
+	}
+	gid, slots, err := h.AppendGroup(labels.FromStrings("hostname", "host_0"), uniques, 0, vals)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return h, gid, slots, vals
+}
+
+// TestAppendGroupFastWALAllocs pins that logging a group round allocates
+// nothing: with the WAL on, AppendGroupFast allocates no more per round
+// than with it off.
+func TestAppendGroupFastWALAllocs(t *testing.T) {
+	allocs := map[string]float64{}
+	for _, mode := range walModes {
+		h, gid, slots, vals := benchGroup(t, mode)
+		ts := int64(0)
+		allocs[mode] = testing.AllocsPerRun(200, func() {
+			ts += 10
+			if err := h.AppendGroupFast(gid, slots, ts, vals); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs["wal"] > allocs["nowal"] {
+		t.Errorf("AppendGroupFast allocates %.0f per round with the WAL, %.0f without; logging a round should allocate nothing", allocs["wal"], allocs["nowal"])
 	}
 }

@@ -47,6 +47,9 @@ type MemGroup struct {
 	cur *groupBuilder
 	// scratch is the reusable per-round slot→value staging map.
 	scratch map[uint32]float64
+	// walSlots is the reusable per-round slot list handed to the WAL,
+	// which copies it before returning.
+	walSlots []uint32
 }
 
 // AppendGroup inserts one shared-timestamp round of samples into a group
@@ -177,15 +180,15 @@ func (h *Head) getOrCreateMemberLocked(g *MemGroup, unique labels.Labels) (int, 
 func (h *Head) appendGroupLocked(g *MemGroup, t int64, slots []int, vals []float64, staged bool) error {
 	g.seq++
 	if w := h.opts.WAL; w != nil {
-		s32 := make([]uint32, len(slots))
-		for i, s := range slots {
-			s32[i] = uint32(s)
+		g.walSlots = g.walSlots[:0]
+		for _, s := range slots {
+			g.walSlots = append(g.walSlots, uint32(s))
 		}
 		var err error
 		if staged {
-			err = w.StageGroupSample(g.GID, g.seq, t, s32, vals)
+			err = w.StageGroupSample(g.GID, g.seq, t, g.walSlots, vals)
 		} else {
-			err = w.LogGroupSample(g.GID, g.seq, t, s32, vals)
+			err = w.LogGroupSample(g.GID, g.seq, t, g.walSlots, vals)
 		}
 		if err != nil {
 			return err

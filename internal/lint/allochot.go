@@ -29,21 +29,21 @@ import (
 var AllocHot = &Analyzer{
 	Name: "allochot",
 	Doc:  "Next/Seek/At bodies in internal/chunkenc and internal/sstable must not allocate (make, new, append, closures); internal/sstable builds flate state only in a sync.Pool New",
-	Run:  runAllocHot,
+	Run:  perPackage(runAllocHot),
 }
 
 // hotMethods are the per-sample SampleIterator methods.
 var hotMethods = map[string]bool{"Next": true, "Seek": true, "At": true}
 
-func runAllocHot(pass *Pass) {
-	codec := pass.InScope("internal/sstable")
-	if !codec && !pass.InScope("internal/chunkenc") {
+func runAllocHot(pass *ModulePass, pkg *Package) {
+	codec := pkg.InScope("internal/sstable")
+	if !codec && !pkg.InScope("internal/chunkenc") {
 		return
 	}
 	if codec {
-		checkFlateConstructors(pass)
+		checkFlateConstructors(pass, pkg)
 	}
-	pass.Inspect(func(n ast.Node) bool {
+	pkg.Inspect(func(n ast.Node) bool {
 		fd, ok := n.(*ast.FuncDecl)
 		if !ok {
 			return true
@@ -52,7 +52,7 @@ func runAllocHot(pass *Pass) {
 			return false
 		}
 		recv := "receiver"
-		if named := receiverNamed(pass, fd); named != nil {
+		if named := receiverNamed(pkg.Info, fd); named != nil {
 			recv = named.Obj().Name()
 		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -61,7 +61,7 @@ func runAllocHot(pass *Pass) {
 				pass.Reportf(e.Pos(), "function literal in %s.%s allocates its closure per call; hoist it out of the hot path (DESIGN.md §4.10)", recv, fd.Name.Name)
 				return false // the literal's own body is not the hot path
 			case *ast.CallExpr:
-				if name, ok := builtinName(pass, e); ok {
+				if name, ok := builtinName(pkg.Info, e); ok {
 					switch name {
 					case "make", "new":
 						pass.Reportf(e.Pos(), "%s allocates inside %s.%s; move it to a pooled helper or reuse scratch (DESIGN.md §4.10)", name, recv, fd.Name.Name)
@@ -78,11 +78,11 @@ func runAllocHot(pass *Pass) {
 
 // checkFlateConstructors reports every compress/flate constructor call
 // that is not inside the New function of a sync.Pool literal.
-func checkFlateConstructors(pass *Pass) {
-	pass.Inspect(func(n ast.Node) bool {
+func checkFlateConstructors(pass *ModulePass, pkg *Package) {
+	pkg.Inspect(func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.CompositeLit:
-			if !isSyncPool(derefNamed(pass.Info.TypeOf(e))) {
+			if !isSyncPool(derefNamed(pkg.Info.TypeOf(e))) {
 				return true
 			}
 			for _, elt := range e.Elts {
@@ -97,7 +97,7 @@ func checkFlateConstructors(pass *Pass) {
 				}
 			}
 		case *ast.CallExpr:
-			if name, ok := calleeFromPkg(pass.Info, e, "compress/flate"); ok && (strings.HasPrefix(name, "NewReader") || strings.HasPrefix(name, "NewWriter")) {
+			if name, ok := calleeFromPkg(pkg.Info, e, "compress/flate"); ok && (strings.HasPrefix(name, "NewReader") || strings.HasPrefix(name, "NewWriter")) {
 				pass.Reportf(e.Pos(), "flate.%s builds compressor state per call; take it from a sync.Pool and Reset it (DESIGN.md §4.10)", name)
 			}
 		}
@@ -106,8 +106,8 @@ func checkFlateConstructors(pass *Pass) {
 }
 
 // receiverNamed resolves a method declaration's receiver named type.
-func receiverNamed(pass *Pass, fd *ast.FuncDecl) *types.Named {
-	obj, _ := pass.Info.Defs[fd.Name].(*types.Func)
+func receiverNamed(info *types.Info, fd *ast.FuncDecl) *types.Named {
+	obj, _ := info.Defs[fd.Name].(*types.Func)
 	if obj == nil {
 		return nil
 	}
@@ -119,12 +119,12 @@ func receiverNamed(pass *Pass, fd *ast.FuncDecl) *types.Named {
 }
 
 // builtinName reports whether call invokes a builtin, and which.
-func builtinName(pass *Pass, call *ast.CallExpr) (string, bool) {
+func builtinName(info *types.Info, call *ast.CallExpr) (string, bool) {
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok {
 		return "", false
 	}
-	if b, ok := pass.Info.Uses[id].(*types.Builtin); ok {
+	if b, ok := info.Uses[id].(*types.Builtin); ok {
 		return b.Name(), true
 	}
 	return "", false

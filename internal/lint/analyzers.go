@@ -90,8 +90,8 @@ func isErrorType(t types.Type) bool {
 
 // signatureOf returns the static signature of a call's callee, following
 // the type checker's view (methods, function values, conversions → nil).
-func signatureOf(pass *Pass, call *ast.CallExpr) *types.Signature {
-	t := pass.Info.TypeOf(call.Fun)
+func signatureOf(info *types.Info, call *ast.CallExpr) *types.Signature {
+	t := info.TypeOf(call.Fun)
 	sig, _ := types.Unalias(t).(*types.Signature)
 	return sig
 }

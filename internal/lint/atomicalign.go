@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"slices"
 	"strings"
 )
 
@@ -16,24 +17,29 @@ import (
 var AtomicAlign = &Analyzer{
 	Name: "atomicalign",
 	Doc:  "64-bit sync/atomic functions on plain words are forbidden; use atomic.Int64 or atomic.Uint64",
-	Run:  runAtomicAlign,
+	Run:  perPackage(runAtomicAlign),
 }
 
-func runAtomicAlign(pass *Pass) {
-	pass.Inspect(func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+func runAtomicAlign(pass *ModulePass, pkg *Package) {
+	for _, f := range pkg.Files {
+		if !slices.ContainsFunc(f.Imports, func(s *ast.ImportSpec) bool { return s.Path.Value == `"sync/atomic"` }) {
+			continue // no qualifier can name a sync/atomic function here
 		}
-		name, ok := calleeFromPkg(pass.Info, call, "sync/atomic")
-		if !ok {
-			return true
-		}
-		for _, op := range []string{"Add", "Load", "Store", "Swap", "CompareAndSwap", "And", "Or"} {
-			if typ, ok := strings.CutPrefix(name, op); ok && (typ == "Int64" || typ == "Uint64") {
-				pass.Reportf(call.Pos(), "atomic.%s on a plain %s; use atomic.%s, which is 8-byte aligned on 32-bit platforms and cannot be read plainly", name, strings.ToLower(typ), typ)
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
-		}
-		return true
-	})
+			name, ok := calleeFromPkg(pkg.Info, call, "sync/atomic")
+			if !ok {
+				return true
+			}
+			for _, op := range []string{"Add", "Load", "Store", "Swap", "CompareAndSwap", "And", "Or"} {
+				if typ, ok := strings.CutPrefix(name, op); ok && (typ == "Int64" || typ == "Uint64") {
+					pass.Reportf(call.Pos(), "atomic.%s on a plain %s; use atomic.%s, which is 8-byte aligned on 32-bit platforms and cannot be read plainly", name, strings.ToLower(typ), typ)
+				}
+			}
+			return true
+		})
+	}
 }

@@ -15,16 +15,16 @@ import (
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "functions receiving a context.Context must not mint context.Background()/TODO() (internal/{core,lsm,remote})",
-	Run:  runCtxFlow,
+	Run:  perPackage(runCtxFlow),
 }
 
-func runCtxFlow(pass *Pass) {
-	if !pass.InScope("internal/core", "internal/lsm", "internal/remote") {
+func runCtxFlow(pass *ModulePass, pkg *Package) {
+	if !pkg.InScope("internal/core", "internal/lsm", "internal/remote") {
 		return
 	}
-	pass.Inspect(func(n ast.Node) bool {
+	pkg.Inspect(func(n ast.Node) bool {
 		fd, ok := n.(*ast.FuncDecl)
-		if !ok || fd.Body == nil || !hasCtxParam(pass.Info, fd.Type) {
+		if !ok || fd.Body == nil || !hasCtxParam(pkg.Info, fd.Type) {
 			return true
 		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -32,7 +32,7 @@ func runCtxFlow(pass *Pass) {
 			if !ok {
 				return true
 			}
-			if name, ok := calleeFromPkg(pass.Info, call, "context"); ok && (name == "Background" || name == "TODO") {
+			if name, ok := calleeFromPkg(pkg.Info, call, "context"); ok && (name == "Background" || name == "TODO") {
 				pass.Reportf(call.Pos(), "context.%s() inside %s, which already receives a context.Context; pass the caller's ctx so cancellation and tracing propagate", name, fd.Name.Name)
 			}
 			return true

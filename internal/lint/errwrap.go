@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // ErrWrap enforces the durability-path error discipline (DESIGN.md §4.6)
@@ -18,23 +19,23 @@ import (
 var ErrWrap = &Analyzer{
 	Name: "errwrap",
 	Doc:  "durability packages must wrap errors with %w and must not silently discard Sync/Close errors",
-	Run:  runErrWrap,
+	Run:  perPackage(runErrWrap),
 }
 
-func runErrWrap(pass *Pass) {
-	if !pass.InScope("internal/wal", "internal/lsm", "internal/cloud", "internal/sstable") {
+func runErrWrap(pass *ModulePass, pkg *Package) {
+	if !pkg.InScope("internal/wal", "internal/lsm", "internal/cloud", "internal/sstable") {
 		return
 	}
-	pass.Inspect(func(n ast.Node) bool {
+	pkg.Inspect(func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			checkErrorfVerbs(pass, n)
+			checkErrorfVerbs(pass, pkg.Info, n)
 		case *ast.ExprStmt:
-			checkDiscardedCall(pass, n.X, "")
+			checkDiscardedCall(pass, pkg.Info, n.X, "")
 		case *ast.DeferStmt:
-			checkDiscardedCall(pass, n.Call, "defer ")
+			checkDiscardedCall(pass, pkg.Info, n.Call, "defer ")
 		case *ast.GoStmt:
-			checkDiscardedCall(pass, n.Call, "go ")
+			checkDiscardedCall(pass, pkg.Info, n.Call, "go ")
 		}
 		return true
 	})
@@ -42,14 +43,14 @@ func runErrWrap(pass *Pass) {
 
 // checkErrorfVerbs flags fmt.Errorf calls that format an error operand
 // with a verb other than %w.
-func checkErrorfVerbs(pass *Pass, call *ast.CallExpr) {
-	if name, ok := calleeFromPkg(pass.Info, call, "fmt"); !ok || name != "Errorf" {
+func checkErrorfVerbs(pass *ModulePass, info *types.Info, call *ast.CallExpr) {
+	if name, ok := calleeFromPkg(info, call, "fmt"); !ok || name != "Errorf" {
 		return
 	}
 	if len(call.Args) < 2 {
 		return
 	}
-	tv, ok := pass.Info.Types[call.Args[0]]
+	tv, ok := info.Types[call.Args[0]]
 	if !ok || tv.Value == nil {
 		return // dynamic format string; nothing to check
 	}
@@ -67,7 +68,7 @@ func checkErrorfVerbs(pass *Pass, call *ast.CallExpr) {
 			continue
 		}
 		arg := call.Args[argIdx]
-		if isErrorType(pass.Info.TypeOf(arg)) {
+		if isErrorType(info.TypeOf(arg)) {
 			pass.Reportf(arg.Pos(), "error operand formatted with %%%c; use %%w so errors.As/Is and transient-fault classification survive the package boundary", verb)
 		}
 	}
@@ -75,7 +76,7 @@ func checkErrorfVerbs(pass *Pass, call *ast.CallExpr) {
 
 // checkDiscardedCall flags bare x.Sync()/x.Close() statements whose error
 // result is implicitly dropped.
-func checkDiscardedCall(pass *Pass, expr ast.Expr, prefix string) {
+func checkDiscardedCall(pass *ModulePass, info *types.Info, expr ast.Expr, prefix string) {
 	call, ok := expr.(*ast.CallExpr)
 	if !ok {
 		return
@@ -88,7 +89,7 @@ func checkDiscardedCall(pass *Pass, expr ast.Expr, prefix string) {
 	if name != "Sync" && name != "Close" {
 		return
 	}
-	sig := signatureOf(pass, call)
+	sig := signatureOf(info, call)
 	if sig == nil || sig.Results().Len() != 1 || !isErrorType(sig.Results().At(0).Type()) {
 		return
 	}

@@ -22,9 +22,9 @@ import (
 // declaration, and dispatch expansion is excluded so coverage is exactly
 // what the package's own source names.
 var FaultCover = &Analyzer{
-	Name:      "faultcover",
-	Doc:       "cloud.Store call sites must be reachable from the package API so FaultStore schedules can exercise them",
-	RunModule: runFaultCover,
+	Name: "faultcover",
+	Doc:  "cloud.Store call sites must be reachable from the package API so FaultStore schedules can exercise them",
+	Run:  runFaultCover,
 }
 
 func runFaultCover(pass *ModulePass) {
@@ -43,7 +43,7 @@ func faultCoverPackage(pass *ModulePass, pkg *Package) {
 	storeCalls := map[*Node][]callSite{}
 	var declared []*Node
 
-	for _, n := range pass.Graph.Nodes() {
+	for _, n := range pass.Graph().Nodes() {
 		if n.Pkg != pkg {
 			continue
 		}

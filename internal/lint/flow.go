@@ -21,8 +21,10 @@ type flow[S any] interface {
 	// and each way out of its body. It may reuse a.
 	join(a, b S) S
 	// transfer applies one simple statement, expression, or return, defer
-	// or go statement. Function literals inside it are walked separately,
-	// so transfer must not look into their bodies.
+	// or go statement, or a type switch's guard: given the TypeSwitchStmt,
+	// it applies only s.Assign, whose clause variables are in each clause's
+	// Implicits. Function literals inside it are walked separately, so
+	// transfer must not look into their bodies.
 	transfer(S, ast.Node) S
 }
 
@@ -145,14 +147,9 @@ func (w *walker[S]) stmt(s ast.Stmt, st S, label string) (S, bool) {
 		st = w.node(s.Tag, w.node(s.Init, st))
 		return w.clauses(label, st, s.Body.List, false)
 	case *ast.TypeSwitchStmt:
-		st = w.node(s.Init, st)
-		// Only the asserted operand: the clause variable is a new name.
-		switch a := s.Assign.(type) {
-		case *ast.AssignStmt:
-			st = w.node(a.Rhs[0], st)
-		case *ast.ExprStmt:
-			st = w.node(a.X, st)
-		}
+		// The guard, whose clause variables the clauses' Implicits hold.
+		st = w.f.transfer(w.node(s.Init, st), s)
+		w.lits(s.Assign, w.concurrent)
 		return w.clauses(label, st, s.Body.List, false)
 	case *ast.SelectStmt:
 		return w.clauses(label, st, s.Body.List, true)

@@ -34,9 +34,9 @@ import (
 //  3. Uniqueness: two Emit calls in one function is double-journaling —
 //     an op has one boundary, so merge into a single deferred emit.
 var JournalCover = &Analyzer{
-	Name:      "journalcover",
-	Doc:       "background ops in lsm/wal emit exactly one obs.Journal event via a named-return deferred closure",
-	RunModule: runJournalCover,
+	Name: "journalcover",
+	Doc:  "background ops in lsm/wal emit exactly one obs.Journal event via a named-return deferred closure",
+	Run:  runJournalCover,
 }
 
 // emitSite classifies one lexical obs.Journal.Emit call.
@@ -55,7 +55,7 @@ func runJournalCover(pass *ModulePass) {
 	// Pass 1: classify every Emit site, module-wide. A function with any
 	// emit is an "emitter": rule 2's walk stops there.
 	emits := map[*Node][]emitSite{}
-	for _, n := range pass.Graph.Nodes() {
+	for _, n := range pass.Graph().Nodes() {
 		if n.Decl.Body == nil {
 			continue
 		}
@@ -65,7 +65,7 @@ func runJournalCover(pass *ModulePass) {
 	}
 
 	// Rule 1 + rule 3: idiom and uniqueness, in scope only.
-	for _, n := range pass.Graph.Nodes() {
+	for _, n := range pass.Graph().Nodes() {
 		sites := emits[n]
 		if len(sites) == 0 || !inScope(n) {
 			continue
@@ -93,7 +93,7 @@ func runJournalCover(pass *ModulePass) {
 	}
 	var queue []work
 	visited := map[*Node]bool{}
-	for _, n := range pass.Graph.Nodes() {
+	for _, n := range pass.Graph().Nodes() {
 		for _, e := range n.Out {
 			if e.Concurrent && e.Kind == EdgeCall && e.Callee.Decl != nil && !visited[e.Callee] {
 				visited[e.Callee] = true

@@ -18,26 +18,22 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 )
 
-// Analyzer is one invariant checker. Per-package analyzers set Run;
-// interprocedural analyzers set RunModule and receive every loaded package
-// plus the shared call graph (built once per run). Exactly one of the two
-// should be set.
+// Analyzer is one invariant checker. Run receives every loaded package;
+// an analyzer that checks packages one at a time loops over pass.Pkgs, and
+// an interprocedural one asks for the shared call graph.
 type Analyzer struct {
 	// Name is the identifier used in output and ignore directives.
 	Name string
 	// Doc is a one-line description of the enforced invariant.
 	Doc string
-	// Run executes the analyzer over one package.
-	Run func(*Pass)
-	// RunModule executes the analyzer once over the whole loaded set.
-	RunModule func(*ModulePass)
+	// Run executes the analyzer once over the whole loaded set.
+	Run func(*ModulePass)
 }
 
 // Diagnostic is one finding.
@@ -59,62 +55,59 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 }
 
-// Pass carries one package's parsed and type-checked state to an analyzer.
-type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	// PkgPath is the import path ("timeunion/internal/wal"). Analyzers
-	// scope themselves with InScope rather than hard-coding the module
-	// name, so fixture packages under testdata exercise the same logic.
-	PkgPath string
-	Info    *types.Info
-
-	diags *[]Diagnostic
-}
-
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      position,
-		Line:     position.Line,
-		Col:      position.Column,
-		File:     position.Filename,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
 // InScope reports whether the package's import path falls under any of the
-// given path fragments (e.g. "internal/wal"). Matching is by path-segment
-// suffix or containment so both the real module and test fixtures match.
-func (p *Pass) InScope(fragments ...string) bool {
+// given path fragments (e.g. "internal/wal"). Analyzers scope themselves
+// this way rather than hard-coding the module name, so fixture packages
+// under testdata exercise the same logic.
+func (p *Package) InScope(fragments ...string) bool {
 	for _, f := range fragments {
-		if p.PkgPath == f || strings.HasSuffix(p.PkgPath, "/"+f) || strings.Contains(p.PkgPath, "/"+f+"/") {
+		if pathInScope(p.Path, f) {
 			return true
 		}
 	}
 	return false
 }
 
+// pathInScope is InScope's matching over a bare import path: by
+// path-segment suffix or containment, so both the real module and test
+// fixtures match.
+func pathInScope(path, fragment string) bool {
+	return path == fragment || strings.HasSuffix(path, "/"+fragment) || strings.Contains(path, "/"+fragment+"/")
+}
+
 // Inspect walks every file of the package in depth-first order.
-func (p *Pass) Inspect(fn func(ast.Node) bool) {
+func (p *Package) Inspect(fn func(ast.Node) bool) {
 	for _, f := range p.Files {
 		ast.Inspect(f, fn)
 	}
 }
 
-// ModulePass carries the whole loaded package set and the shared call graph
-// to an interprocedural analyzer.
+// ModulePass carries the whole loaded package set to one analyzer. The call
+// graph is built on the first Graph call of a run and shared by every later
+// one, so a run of per-package analyzers alone never builds it.
 type ModulePass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkgs     []*Package
-	Graph    *CallGraph
 
+	graph *lazyGraph
 	diags *[]Diagnostic
+}
+
+// lazyGraph is one run's call graph and the time its build took.
+type lazyGraph struct {
+	g    *CallGraph
+	took time.Duration
+}
+
+// Graph returns the run's call graph, building it on first use.
+func (p *ModulePass) Graph() *CallGraph {
+	if p.graph.g == nil {
+		start := time.Now()
+		p.graph.g = BuildCallGraph(p.Pkgs)
+		p.graph.took = time.Since(start)
+	}
+	return p.graph.g
 }
 
 // Reportf records a finding at pos.
@@ -128,6 +121,15 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 		File:     position.Filename,
 		Message:  fmt.Sprintf(format, args...),
 	})
+}
+
+// perPackage makes an Analyzer's Run from a check of one package.
+func perPackage(check func(*ModulePass, *Package)) func(*ModulePass) {
+	return func(pass *ModulePass) {
+		for _, pkg := range pass.Pkgs {
+			check(pass, pkg)
+		}
+	}
 }
 
 // Timing is one analyzer's aggregate wall time across a run. The shared
@@ -158,26 +160,9 @@ func RunTimed(root string, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic
 		}
 		elapsed[name] += d
 	}
+	// Malformed directives are findings too: an ignore without a reason
+	// defeats the audit trail the directive exists for.
 	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				PkgPath:  pkg.Path,
-				Info:     pkg.Info,
-				diags:    &diags,
-			}
-			start := time.Now()
-			a.Run(pass)
-			record(a.Name, time.Since(start))
-		}
-		// Malformed directives are findings too: an ignore without a
-		// reason defeats the audit trail the directive exists for.
 		for _, bad := range pkg.badDirectives {
 			diags = append(diags, Diagnostic{
 				Analyzer: "lint",
@@ -189,28 +174,19 @@ func RunTimed(root string, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic
 			})
 		}
 	}
-	// Module-wide passes share one call graph, built lazily so per-package
-	// subsets of the suite pay nothing for it.
-	var graph *CallGraph
+	graph := &lazyGraph{}
 	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		if graph == nil {
-			start := time.Now()
-			graph = BuildCallGraph(pkgs)
-			record("callgraph", time.Since(start))
-		}
-		mp := &ModulePass{
-			Analyzer: a,
-			Fset:     graph.Fset,
-			Pkgs:     pkgs,
-			Graph:    graph,
-			diags:    &diags,
-		}
+		pass := &ModulePass{Analyzer: a, Fset: sharedFset, Pkgs: pkgs, graph: graph, diags: &diags}
+		built := graph.g != nil
 		start := time.Now()
-		a.RunModule(mp)
-		record(a.Name, time.Since(start))
+		a.Run(pass)
+		took := time.Since(start)
+		if !built && graph.g != nil {
+			// The graph build this analyzer triggered is its own row.
+			record("callgraph", graph.took)
+			took -= graph.took
+		}
+		record(a.Name, took)
 	}
 	// Apply suppression directives.
 	byFile := map[string][]ignoreDirective{}
@@ -233,7 +209,7 @@ func RunTimed(root string, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic
 			diags[i].File = rel
 		}
 	}
-	sort.Slice(diags, func(i, j int) bool {
+	sort.SliceStable(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.File != b.File {
 			return a.File < b.File

@@ -38,9 +38,9 @@ import (
 // Violations: an edge against the declared levels, any out-edge from a
 // declared leaf, and any cycle among (possibly undeclared) classes.
 var LockGraph = &Analyzer{
-	Name:      "lockgraph",
-	Doc:       "module-wide lock acquisition order must be acyclic and respect the declared manifestMu → l.mu → stripe → series/group hierarchy",
-	RunModule: runLockGraph,
+	Name: "lockgraph",
+	Doc:  "module-wide lock acquisition order must be acyclic and respect the declared manifestMu → l.mu → stripe → series/group hierarchy",
+	Run:  runLockGraph,
 }
 
 // declaredLockLevels orders the named lock classes; a lower level is
@@ -103,14 +103,14 @@ func runLockGraph(pass *ModulePass) {
 	}
 	// Pass 1: per-function direct acquisitions, direct edges, and call
 	// sites annotated with the held set.
-	for _, n := range pass.Graph.Nodes() {
+	for _, n := range pass.Graph().Nodes() {
 		if n.Decl.Body != nil {
 			lg.cur = n
 			walkFunc(lg, n)
 		}
 	}
 	// Pass 2: transitive may-acquire summaries over the call graph.
-	pass.Graph.Fixpoint(func(n *Node) bool {
+	pass.Graph().Fixpoint(func(n *Node) bool {
 		changed := false
 		for _, e := range n.Out {
 			if e.Kind == EdgeRef || e.Concurrent {
@@ -129,7 +129,7 @@ func runLockGraph(pass *ModulePass) {
 		return changed
 	})
 	// Pass 3: held × callee-summary edges at every call site.
-	for _, n := range pass.Graph.Nodes() {
+	for _, n := range pass.Graph().Nodes() {
 		for _, site := range lg.calls[n] {
 			for c := range lg.acquire[site.callee] {
 				for _, h := range site.held {
@@ -197,11 +197,13 @@ func (lg *lockGrapher) join(a, b lockState) lockState {
 // transfer applies the lock operations in one node and records its call
 // sites with the held set.
 func (lg *lockGrapher) transfer(st lockState, nd ast.Node) lockState {
-	switch nd := nd.(type) {
+	switch s := nd.(type) {
 	case *ast.GoStmt:
 		return st // concurrent: nothing held across it
 	case *ast.DeferStmt:
-		lg.deferred[nd.Call] = true
+		lg.deferred[s.Call] = true
+	case *ast.TypeSwitchStmt:
+		nd = s.Assign
 	}
 	n := lg.cur
 	ast.Inspect(nd, func(x ast.Node) bool {
@@ -233,7 +235,7 @@ func (lg *lockGrapher) transfer(st lockState, nd ast.Node) lockState {
 				return true
 			}
 			if len(st.held) > 0 && !st.inGo {
-				for _, callee := range lg.pass.Graph.Callees(x) {
+				for _, callee := range lg.pass.Graph().Callees(x) {
 					lg.calls[n] = append(lg.calls[n], lockCallSite{
 						callee: callee,
 						held:   slices.Clone(st.held),

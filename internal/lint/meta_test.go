@@ -3,6 +3,7 @@ package lint
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestNoIgnoredDiagnostics is the in-process invariant gate: the full
@@ -68,4 +69,48 @@ func TestLoaderSkipsTestdataAndTests(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkLintSuite times the analysis half of `make lint` over this
+// module; the load (parse and type-check) happens once, outside the timer.
+// "all" runs the whole suite as `make lint` does. Each analyzer's
+// sub-benchmark runs it alone and reports its own time as analyzer-ns/op;
+// the call graph that the interprocedural analyzers build is timed by the
+// "callgraph" sub-benchmark (and counted in their ns/op and allocs/op).
+func BenchmarkLintSuite(b *testing.B) {
+	root, modPath, err := FindModule(".")
+	if err != nil {
+		b.Fatal(err)
+	}
+	pkgs, err := NewLoader(root, modPath).Load("./...")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("all", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			Run(root, pkgs, All())
+		}
+	})
+	for _, a := range All() {
+		b.Run(a.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			var own time.Duration
+			for range b.N {
+				_, timings := RunTimed(root, pkgs, []*Analyzer{a})
+				for _, t := range timings {
+					if t.Analyzer == a.Name {
+						own += t.Duration
+					}
+				}
+			}
+			b.ReportMetric(float64(own.Nanoseconds())/float64(b.N), "analyzer-ns/op")
+		})
+	}
+	b.Run("callgraph", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			BuildCallGraph(pkgs)
+		}
+	})
 }

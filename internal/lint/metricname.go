@@ -16,7 +16,7 @@ import (
 var MetricName = &Analyzer{
 	Name: "metricname",
 	Doc:  "obs instruments use constant timeunion_<subsystem>_<name> names matching the registering package",
-	Run:  runMetricName,
+	Run:  perPackage(runMetricName),
 }
 
 // registryMethods are the obs.Registry instrument constructors.
@@ -39,21 +39,21 @@ var metricSubsystems = map[string][]string{
 
 var metricNameRE = regexp.MustCompile(`^timeunion_([a-z0-9]+)_[a-z0-9_]+$`)
 
-func runMetricName(pass *Pass) {
-	if pass.InScope("internal/obs") {
+func runMetricName(pass *ModulePass, pkg *Package) {
+	if pkg.InScope("internal/obs") {
 		return // the registry itself and its self-instrumentation are exempt
 	}
 	var allowed []string
 	known := false
 	for frag, subs := range metricSubsystems {
-		if pass.InScope(frag) {
+		if pkg.InScope(frag) {
 			allowed, known = subs, true
 			break
 		}
 	}
 
 	seen := map[string]ast.Node{} // name{labels} -> first registration site
-	pass.Inspect(func(n ast.Node) bool {
+	pkg.Inspect(func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -62,13 +62,13 @@ func runMetricName(pass *Pass) {
 		if !ok || !registryMethods[sel.Sel.Name] || len(call.Args) < 2 {
 			return true
 		}
-		recv := derefNamed(pass.Info.TypeOf(sel.X))
+		recv := derefNamed(pkg.Info.TypeOf(sel.X))
 		if recv == nil || recv.Obj().Name() != "Registry" || recv.Obj().Pkg() == nil || recv.Obj().Pkg().Name() != "obs" {
 			return true
 		}
 
 		nameArg := call.Args[0]
-		tv, ok := pass.Info.Types[nameArg]
+		tv, ok := pkg.Info.Types[nameArg]
 		if !ok || tv.Value == nil {
 			pass.Reportf(nameArg.Pos(), "metric name must be a compile-time string constant, not a dynamic expression")
 			return true
@@ -83,7 +83,7 @@ func runMetricName(pass *Pass) {
 			return true
 		}
 		if !known {
-			pass.Reportf(nameArg.Pos(), "package %s has no subsystem entry in the metricname analyzer table; add one before registering instruments", pass.PkgPath)
+			pass.Reportf(nameArg.Pos(), "package %s has no subsystem entry in the metricname analyzer table; add one before registering instruments", pkg.Path)
 			return true
 		}
 		sub := m[1]
@@ -101,7 +101,7 @@ func runMetricName(pass *Pass) {
 
 		// Duplicate detection: only when the labels argument is constant
 		// too (per-instance label strings built at runtime are fine).
-		if ltv, ok := pass.Info.Types[call.Args[1]]; ok && ltv.Value != nil {
+		if ltv, ok := pkg.Info.Types[call.Args[1]]; ok && ltv.Value != nil {
 			labels, err := unquoteConst(ltv.Value)
 			if err == nil {
 				key := name + "{" + labels + "}"

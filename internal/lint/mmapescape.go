@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // MmapEscape guards the lifetime contract of memory-mapped bytes
@@ -27,12 +26,12 @@ import (
 var MmapEscape = &Analyzer{
 	Name: "mmapescape",
 	Doc:  "xmmap region bytes must not escape their region's lifetime",
-	Run:  runMmapEscape,
+	Run:  perPackage(runMmapEscape),
 }
 
-func runMmapEscape(pass *Pass) {
-	inXmmap := pass.InScope("internal/xmmap")
-	pass.Inspect(func(n ast.Node) bool {
+func runMmapEscape(pass *ModulePass, pkg *Package) {
+	inXmmap := pkg.InScope("internal/xmmap")
+	pkg.Inspect(func(n ast.Node) bool {
 		fd, ok := n.(*ast.FuncDecl)
 		if !ok {
 			return true
@@ -43,23 +42,23 @@ func runMmapEscape(pass *Pass) {
 		if !inXmmap {
 			// Rule 1: no raw Data() calls outside the owning package.
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok && isRegionData(pass, call) {
+				if call, ok := n.(*ast.CallExpr); ok && isRegionData(pkg.Info, call) {
 					pass.Reportf(call.Pos(), "Region.Data() outside internal/xmmap exposes raw mmap bytes with no lifetime contract; use a typed xmmap accessor instead")
 				}
 				return true
 			})
 			return false
 		}
-		checkXmmapFunc(pass, fd)
+		checkXmmapFunc(pass, pkg.Info, fd)
 		return false
 	})
 }
 
 // checkXmmapFunc applies rule 2 inside one xmmap function: track locals
 // tainted by Data() and flag stores that outlive the call.
-func checkXmmapFunc(pass *Pass, fd *ast.FuncDecl) {
+func checkXmmapFunc(pass *ModulePass, info *types.Info, fd *ast.FuncDecl) {
 	tainted := map[types.Object]bool{}
-	isTainted := func(e ast.Expr) bool { return taintRoot(pass, e, tainted) }
+	isTainted := func(e ast.Expr) bool { return taintRoot(info, e, tainted) }
 
 	// Taint propagation: run twice so a use-before-later-def chain within
 	// loops still converges (assignments are the only propagators).
@@ -74,9 +73,9 @@ func checkXmmapFunc(pass *Pass, fd *ast.FuncDecl) {
 					continue
 				}
 				if id, ok := as.Lhs[i].(*ast.Ident); ok {
-					if obj := pass.Info.Defs[id]; obj != nil {
+					if obj := info.Defs[id]; obj != nil {
 						tainted[obj] = true
-					} else if obj := pass.Info.Uses[id]; obj != nil && !isPackageLevel(obj) {
+					} else if obj := info.Uses[id]; obj != nil && !isPackageLevel(obj) {
 						tainted[obj] = true
 					}
 				}
@@ -101,7 +100,7 @@ func checkXmmapFunc(pass *Pass, fd *ast.FuncDecl) {
 				case *ast.IndexExpr:
 					pass.Reportf(e.Pos(), "mmap-backed slice stored in a container outlives its region; store the *Region and re-derive the view per access")
 				case *ast.Ident:
-					if obj := pass.Info.Uses[lhs]; obj != nil && isPackageLevel(obj) {
+					if obj := info.Uses[lhs]; obj != nil && isPackageLevel(obj) {
 						pass.Reportf(e.Pos(), "mmap-backed slice stored in package-level %s outlives its region", lhs.Name)
 					}
 				}
@@ -125,22 +124,22 @@ func checkXmmapFunc(pass *Pass, fd *ast.FuncDecl) {
 // a Data() call, a slice of one, or a tainted local — including an append
 // whose destination is tainted. append onto a fresh destination copies and
 // launders the taint.
-func taintRoot(pass *Pass, e ast.Expr, tainted map[types.Object]bool) bool {
+func taintRoot(info *types.Info, e ast.Expr, tainted map[types.Object]bool) bool {
 	switch v := e.(type) {
 	case *ast.ParenExpr:
-		return taintRoot(pass, v.X, tainted)
+		return taintRoot(info, v.X, tainted)
 	case *ast.SliceExpr:
-		return taintRoot(pass, v.X, tainted)
+		return taintRoot(info, v.X, tainted)
 	case *ast.Ident:
-		obj := pass.Info.Uses[v]
+		obj := info.Uses[v]
 		return obj != nil && tainted[obj]
 	case *ast.CallExpr:
-		if isRegionData(pass, v) {
+		if isRegionData(info, v) {
 			return true
 		}
 		if id, ok := v.Fun.(*ast.Ident); ok {
-			if b, ok := pass.Info.Uses[id].(*types.Builtin); ok && b.Name() == "append" && len(v.Args) > 0 {
-				return taintRoot(pass, v.Args[0], tainted)
+			if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "append" && len(v.Args) > 0 {
+				return taintRoot(info, v.Args[0], tainted)
 			}
 		}
 	}
@@ -148,12 +147,12 @@ func taintRoot(pass *Pass, e ast.Expr, tainted map[types.Object]bool) bool {
 }
 
 // isRegionData reports whether call is xmmap's Region.Data method.
-func isRegionData(pass *Pass, call *ast.CallExpr) bool {
+func isRegionData(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Data" {
 		return false
 	}
-	fn, _ := pass.Info.Uses[sel.Sel].(*types.Func)
+	fn, _ := info.Uses[sel.Sel].(*types.Func)
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
@@ -166,11 +165,6 @@ func isRegionData(pass *Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	return pathInScope(fn.Pkg().Path(), "internal/xmmap")
-}
-
-// pathInScope is Pass.InScope's matching over a bare import path.
-func pathInScope(path, fragment string) bool {
-	return path == fragment || strings.HasSuffix(path, "/"+fragment) || strings.Contains(path, "/"+fragment+"/")
 }
 
 // isPackageLevel reports whether obj is declared at package scope.

@@ -31,11 +31,13 @@ import (
 // captured by a closure, or passed to an unknown callee — the analyzer
 // only reports what it can prove on the path structure the shared walker
 // models (walkFunc: branch joins, loop bodies once, function literals as
-// independent scopes).
+// independent scopes). The summaries and the checker read the code only
+// through ownScan, the one model of what each construct does to a pooled
+// value, and differ only in what they do with its effects.
 var PoolOwn = &Analyzer{
-	Name:      "poolown",
-	Doc:       "every pooled Get must reach a Release/Put on all paths; no use-after-release, no double release",
-	RunModule: runPoolOwn,
+	Name: "poolown",
+	Doc:  "every pooled Get must reach a Release/Put on all paths; no use-after-release, no double release",
+	Run:  runPoolOwn,
 }
 
 // poolSummary is one function's ownership effects.
@@ -53,14 +55,15 @@ func summariesEqual(a, b *poolSummary) bool {
 }
 
 type poolFacts struct {
-	pass *ModulePass
-	sums map[*Node]*poolSummary
+	graph *CallGraph
+	sums  map[*Node]*poolSummary
 }
 
 func runPoolOwn(pass *ModulePass) {
-	pf := &poolFacts{pass: pass, sums: map[*Node]*poolSummary{}}
-	pass.Graph.Fixpoint(func(n *Node) bool {
-		if n.Decl == nil || n.Decl.Body == nil {
+	g := pass.Graph()
+	pf := &poolFacts{graph: g, sums: map[*Node]*poolSummary{}}
+	g.Fixpoint(func(n *Node) bool {
+		if n.Decl.Body == nil {
 			return false
 		}
 		next := pf.summarize(n)
@@ -70,53 +73,38 @@ func runPoolOwn(pass *ModulePass) {
 		pf.sums[n] = next
 		return true
 	})
-	for _, n := range pass.Graph.Nodes() {
+	for _, n := range g.Nodes() {
 		if n.Decl.Body == nil {
 			continue
 		}
-		c := &poolChecker{pf: pf, pkg: n.Pkg, reported: map[token.Pos]bool{}}
+		c := &poolChecker{pass: pass, reported: map[token.Pos]bool{}}
+		c.ownScan = ownScan{pf: pf, info: n.Pkg.Info, sink: c}
 		walkFunc(c, n)
 	}
 }
 
-// --- slot/alias helpers ---
-
-// paramSlots maps a declaration's receiver and parameter objects to slots.
-func paramSlots(pkg *Package, decl *ast.FuncDecl) map[types.Object]int {
-	slots := map[types.Object]int{}
+// paramSlots maps a declaration's receiver and parameters to slots, and
+// counts the slots.
+func paramSlots(info *types.Info, decl *ast.FuncDecl) (map[*types.Var]int, int) {
+	slots := map[*types.Var]int{}
 	n := 0
-	bind := func(fl *ast.FieldList) {
+	for _, fl := range []*ast.FieldList{decl.Recv, decl.Type.Params} {
 		if fl == nil {
-			return
+			continue
 		}
 		for _, f := range fl.List {
 			if len(f.Names) == 0 {
 				n++ // unnamed parameter still occupies a slot
-				continue
 			}
 			for _, name := range f.Names {
-				if obj := pkg.Info.Defs[name]; obj != nil {
-					slots[obj] = n
+				if v, _ := info.Defs[name].(*types.Var); v != nil {
+					slots[v] = n
 				}
 				n++
 			}
 		}
 	}
-	bind(decl.Recv)
-	bind(decl.Type.Params)
-	return slots
-}
-
-func slotCount(fn *types.Func) int {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return 0
-	}
-	n := sig.Params().Len()
-	if sig.Recv() != nil {
-		n++
-	}
-	return n
+	return slots, n
 }
 
 // isPoolOp matches (*sync.Pool).Get / (*sync.Pool).Put calls.
@@ -147,42 +135,36 @@ func unwrapValue(e ast.Expr) ast.Expr {
 	}
 }
 
-// methodValRecv returns the receiver expression when call is a method
-// value invocation (x.M(...)).
-func methodValRecv(info *types.Info, call *ast.CallExpr) ast.Expr {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	if s := info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
-		return sel.X
-	}
-	return nil
-}
-
-// calleeSlotEffect aggregates the resolved callees' effect on one argument
-// slot: released / captured if ANY callee summary says so, known if at
-// least one callee had a computed summary.
-func (pf *poolFacts) calleeSlotEffect(call *ast.CallExpr, slot int) (released, captured, known bool) {
-	for _, cn := range pf.pass.Graph.Callees(call) {
+// calleeSlotEffect is the resolved callees' effect on one argument slot:
+// released or captured if any callee's summary says so. With no callee
+// summarized (a bodyless function or method), it is effOpaque when the
+// call resolved to callees and effEscape when it resolved to none.
+func (pf *poolFacts) calleeSlotEffect(call *ast.CallExpr, slot int) ownEffect {
+	var eff ownEffect
+	known := false
+	callees := pf.graph.Callees(call)
+	for _, cn := range callees {
 		s := pf.sums[cn]
 		if s == nil {
-			if cn.Decl != nil {
-				known = true // summarized as no-effect
-			}
+			known = known || cn.Decl != nil // summarized as no-effect
 			continue
 		}
 		known = true
-		i := slot
-		if i >= len(s.releases) && len(s.releases) > 0 {
-			i = len(s.releases) - 1 // variadic tail
+		i := min(slot, len(s.releases)-1) // variadic tail
+		if i >= 0 && s.releases[i] {
+			eff |= effRelease
 		}
-		if i >= 0 && i < len(s.releases) {
-			released = released || s.releases[i]
-			captured = captured || s.captures[i]
+		if i >= 0 && s.captures[i] {
+			eff |= effEscape
 		}
 	}
-	return released, captured, known
+	switch {
+	case known:
+		return eff
+	case len(callees) > 0:
+		return effOpaque
+	}
+	return effEscape
 }
 
 // isGetter reports whether call returns a pooled value: a sync.Pool Get,
@@ -191,7 +173,7 @@ func (pf *poolFacts) isGetter(info *types.Info, call *ast.CallExpr) bool {
 	if isPoolOp(info, call, "Get") {
 		return true
 	}
-	for _, cn := range pf.pass.Graph.Callees(call) {
+	for _, cn := range pf.graph.Callees(call) {
 		if s := pf.sums[cn]; s != nil && s.getter {
 			return true
 		}
@@ -199,171 +181,355 @@ func (pf *poolFacts) isGetter(info *types.Info, call *ast.CallExpr) bool {
 	return false
 }
 
-// --- summary computation ---
+// ownEffect is what one construct does to a variable it mentions; no bit
+// set is a plain use.
+type ownEffect uint8
+
+const (
+	// effRelease: a Put, or a callee slot summarized as releasing.
+	effRelease ownEffect = 1 << iota
+	// effEscape: a store, send, return, append, composite literal,
+	// closure, goroutine, &x, or a capturing or unknown callee.
+	effEscape
+	// effOpaque: the receiver of a method with no summarized body. The
+	// checker keeps tracking it (a use); a summary counts it as captured.
+	effOpaque
+	// effResult: returned to the caller (with effEscape). A function that
+	// returns a variable holding a getter's result is a getter.
+	effResult
+)
+
+// ownSink consumes ownScan's effects: the path-sensitive checker, or the
+// summary pass.
+type ownSink interface {
+	// effect applies eff to the variable id names, at pos; deferred marks
+	// a defer statement's call, whose release happens at function end.
+	effect(id *ast.Ident, eff ownEffect, pos token.Pos, deferred bool)
+	// alias is dst = src (dst nil for _). implicit marks a type switch's
+	// clause variable, whose subject was already reported as a use.
+	alias(dst *types.Var, src *ast.Ident, implicit bool)
+	// bind is dst = getter's result, or any other value if getter is nil.
+	// dst nil with a getter: the function returns the getter's result.
+	bind(dst *types.Var, getter *ast.CallExpr)
+	// exit is a return: an explicit one, or a body's closing brace.
+	exit(pos token.Pos)
+}
+
+// ownScan is poolown's one interpretation of what each construct does to a
+// pooled value (DESIGN.md §4.14). The checker and the summary pass differ
+// only in what their sinks do with its effects.
+type ownScan struct {
+	pf   *poolFacts
+	info *types.Info
+	sink ownSink
+}
+
+func (o *ownScan) varOf(id *ast.Ident) *types.Var {
+	v, _ := o.info.Uses[id].(*types.Var)
+	return v
+}
+
+// scan applies one node the shared walker hands over.
+func (o *ownScan) scan(n ast.Node) {
+	switch s := n.(type) {
+	case ast.Expr:
+		o.expr(s)
+	case *ast.AssignStmt:
+		o.assign(s.Lhs, s.Rhs)
+	case *ast.DeclStmt:
+		if gd, ok := s.Decl.(*ast.GenDecl); ok {
+			for _, spec := range gd.Specs {
+				if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Values) > 0 {
+					lhs := make([]ast.Expr, len(vs.Names))
+					for i, n := range vs.Names {
+						lhs[i] = n
+					}
+					o.assign(lhs, vs.Values)
+				}
+			}
+		}
+	case *ast.ExprStmt:
+		o.expr(s.X)
+	case *ast.IncDecStmt:
+		o.expr(s.X)
+	case *ast.DeferStmt:
+		o.call(s.Call, true)
+	case *ast.GoStmt:
+		o.escapeAll(s.Call)
+	case *ast.SendStmt:
+		o.expr(s.Chan)
+		o.handOff(s.Value, effEscape) // ownership crosses the channel
+	case *ast.TypeSwitchStmt:
+		o.guard(s)
+	case *ast.ReturnStmt:
+		for _, res := range s.Results {
+			if call, ok := unwrapValue(res).(*ast.CallExpr); ok && o.pf.isGetter(o.info, call) {
+				o.call(call, false)
+				o.sink.bind(nil, call)
+			} else {
+				o.handOff(res, effEscape|effResult)
+			}
+		}
+		o.sink.exit(s.Pos())
+	}
+}
+
+// assign handles bindings. A store into a field or element hands the value
+// off; a variable receives a copy of another, a getter's result, or any
+// other value.
+func (o *ownScan) assign(lhs, rhs []ast.Expr) {
+	for i, l := range lhs {
+		var r ast.Expr
+		if len(lhs) == len(rhs) {
+			r = rhs[i]
+		} else if i == 0 {
+			r = rhs[0] // v, ok := ... / multi-value call
+		}
+		lid, isIdent := l.(*ast.Ident)
+		if !isIdent {
+			o.expr(l)
+			o.handOff(r, effEscape)
+			continue
+		}
+		if r == nil {
+			continue
+		}
+		dst, _ := o.info.Defs[lid].(*types.Var)
+		if dst == nil {
+			dst, _ = o.info.Uses[lid].(*types.Var)
+		}
+		switch v := unwrapValue(r).(type) {
+		case *ast.Ident:
+			o.sink.alias(dst, v, false)
+			continue
+		case *ast.CallExpr:
+			if o.pf.isGetter(o.info, v) {
+				o.call(v, false)
+				if dst != nil {
+					o.sink.bind(dst, v)
+				}
+				continue
+			}
+		}
+		o.expr(r)
+		o.sink.bind(dst, nil)
+	}
+}
+
+// guard is a type switch's header: its subject is used, and each clause's
+// variable aliases it (chunkenc.ReleaseIterator's Releasable dispatch).
+func (o *ownScan) guard(s *ast.TypeSwitchStmt) {
+	var x ast.Expr
+	switch a := s.Assign.(type) {
+	case *ast.AssignStmt:
+		x = a.Rhs[0]
+	case *ast.ExprStmt:
+		x = a.X
+	}
+	id, ok := unwrapValue(x).(*ast.Ident)
+	if !ok {
+		o.expr(x)
+		return
+	}
+	o.sink.effect(id, 0, id.Pos(), false)
+	for _, cl := range s.Body.List {
+		if impl, _ := o.info.Implicits[cl].(*types.Var); impl != nil {
+			o.sink.alias(impl, id, true)
+		}
+	}
+}
+
+// handOff is a value leaving this function's hands with eff; anything but
+// a variable is scanned.
+func (o *ownScan) handOff(e ast.Expr, eff ownEffect) {
+	if id, ok := unwrapValue(e).(*ast.Ident); ok {
+		o.sink.effect(id, eff, id.Pos(), false)
+		return
+	}
+	o.expr(e)
+}
+
+// escapeAll lets every variable mentioned under n escape: a closure or a
+// goroutine may outlive the function.
+func (o *ownScan) escapeAll(n ast.Node) {
+	ast.Inspect(n, func(nd ast.Node) bool {
+		if id, ok := nd.(*ast.Ident); ok {
+			o.sink.effect(id, effEscape, id.Pos(), false)
+		}
+		return true
+	})
+}
+
+// expr scans an expression: the calls in it, and the variables it uses.
+func (o *ownScan) expr(e ast.Expr) {
+	switch e := e.(type) {
+	case *ast.CallExpr:
+		o.call(e, false)
+	case *ast.FuncLit:
+		o.escapeAll(e)
+	case *ast.CompositeLit:
+		for _, el := range e.Elts {
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				el = kv.Value
+			}
+			o.handOff(el, effEscape)
+		}
+	case *ast.UnaryExpr:
+		if e.Op == token.AND {
+			o.handOff(e.X, effEscape) // address taken
+		} else {
+			o.expr(e.X)
+		}
+	case *ast.ParenExpr:
+		o.expr(e.X)
+	case *ast.TypeAssertExpr:
+		o.expr(e.X)
+	case *ast.StarExpr:
+		o.expr(e.X)
+	case *ast.SelectorExpr:
+		o.expr(e.X)
+	case *ast.BinaryExpr:
+		o.expr(e.X)
+		o.expr(e.Y)
+	case *ast.IndexExpr:
+		o.expr(e.X)
+		o.expr(e.Index)
+	case *ast.SliceExpr:
+		o.expr(e.X)
+		o.expr(e.Low)
+		o.expr(e.High)
+	case *ast.Ident:
+		o.sink.effect(e, 0, e.Pos(), false)
+	}
+}
+
+// call applies one call's effects: a builtin's, a Put's, or the resolved
+// callees' summaries on the receiver and each argument.
+func (o *ownScan) call(call *ast.CallExpr, deferred bool) {
+	if name, ok := builtinName(o.info, call); ok {
+		eff := ownEffect(0)
+		if name == "append" {
+			eff = effEscape
+		}
+		for _, arg := range call.Args {
+			o.handOff(arg, eff)
+		}
+		return
+	}
+	if isPoolOp(o.info, call, "Put") && len(call.Args) > 0 {
+		if id, ok := unwrapValue(call.Args[0]).(*ast.Ident); ok {
+			o.sink.effect(id, effRelease, call.Pos(), deferred)
+			return
+		}
+	}
+	base := 0
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		if s := o.info.Selections[fun]; s != nil && s.Kind() == types.MethodVal {
+			base = 1 // the receiver is slot 0
+		}
+		if recv, ok := unwrapValue(fun.X).(*ast.Ident); ok && base == 1 {
+			o.sink.effect(recv, o.pf.calleeSlotEffect(call, 0), call.Pos(), deferred)
+		} else {
+			o.expr(fun.X)
+		}
+	case *ast.Ident:
+	default:
+		o.expr(call.Fun)
+	}
+	for i, arg := range call.Args {
+		id, ok := unwrapValue(arg).(*ast.Ident)
+		if !ok {
+			o.expr(arg)
+			continue
+		}
+		eff := o.pf.calleeSlotEffect(call, base+i)
+		if eff == effOpaque {
+			eff = effEscape // an argument to an unknown callee may escape
+		}
+		o.sink.effect(id, eff, call.Pos(), deferred)
+	}
+}
+
+// poolSummarizer builds one function's poolSummary: the may-union of
+// ownScan's effects over its body, on its receiver and parameters (by
+// slot) and every variable that aliases one. Paths do not matter, so the
+// walker's state is only whether the body is the declaration's own: a
+// function literal's body adds nothing, since mentioning a parameter in
+// the literal already captured it.
+type poolSummarizer struct {
+	ownScan
+	sum     *poolSummary
+	slots   map[*types.Var]int  // parameters and their aliases
+	getVals map[*types.Var]bool // variables holding a getter's result
+	started bool
+}
 
 // summarize computes one function's poolSummary from its body and the
 // current summaries of its callees.
 func (pf *poolFacts) summarize(n *Node) *poolSummary {
-	pkg := n.Pkg
-	info := pkg.Info
-	sum := &poolSummary{
-		releases: make([]bool, slotCount(n.Fn)),
-		captures: make([]bool, slotCount(n.Fn)),
+	slots, count := paramSlots(n.Pkg.Info, n.Decl)
+	s := &poolSummarizer{
+		sum:     &poolSummary{releases: make([]bool, count), captures: make([]bool, count)},
+		slots:   slots,
+		getVals: map[*types.Var]bool{},
 	}
-	aliases := paramSlots(pkg, n.Decl) // object -> slot
-	getVals := map[types.Object]bool{} // locals holding pool-get-derived values
-	markSlot := func(obj types.Object, rel, cap bool) {
-		if slot, ok := aliases[obj]; ok && slot < len(sum.releases) {
-			sum.releases[slot] = sum.releases[slot] || rel
-			sum.captures[slot] = sum.captures[slot] || cap
-		}
-	}
-	aliasOf := func(e ast.Expr) (types.Object, bool) {
-		id, ok := unwrapValue(e).(*ast.Ident)
-		if !ok {
-			return nil, false
-		}
-		obj := info.Uses[id]
-		_, tracked := aliases[obj]
-		return obj, tracked
-	}
-	// isGetVal: e is a getter call or a local holding one's result.
-	isGetVal := func(e ast.Expr) bool {
-		switch e := unwrapValue(e).(type) {
-		case *ast.CallExpr:
-			return pf.isGetter(info, e)
-		case *ast.Ident:
-			return getVals[info.Uses[e]]
-		}
-		return false
-	}
-	// captureMentioned: every parameter named under n escapes.
-	captureMentioned := func(n ast.Node) {
-		ast.Inspect(n, func(e ast.Node) bool {
-			if id, ok := e.(*ast.Ident); ok {
-				markSlot(info.Uses[id], false, true)
-			}
-			return true
-		})
-	}
-
-	ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
-		switch nd := nd.(type) {
-		case *ast.AssignStmt:
-			// Alias propagation: q := p, q := p.(T); getter-value
-			// propagation: v := pool.Get().(T), v := getter().
-			if len(nd.Lhs) == len(nd.Rhs) || (len(nd.Rhs) == 1 && len(nd.Lhs) == 2) {
-				for i, lhs := range nd.Lhs {
-					rhs := nd.Rhs[0]
-					if len(nd.Lhs) == len(nd.Rhs) {
-						rhs = nd.Rhs[i]
-					} else if i > 0 {
-						break // v, ok := x.(T): only v aliases
-					}
-					obj, tracked := aliasOf(rhs)
-					lid, ok := lhs.(*ast.Ident)
-					if !ok {
-						// Storing into a field/element captures any
-						// aliased RHS.
-						if tracked {
-							markSlot(obj, false, true)
-						}
-						continue
-					}
-					lobj := info.Defs[lid]
-					if lobj == nil {
-						lobj = info.Uses[lid]
-					}
-					if lobj == nil {
-						continue
-					}
-					if tracked {
-						aliases[lobj] = aliases[obj]
-					}
-					if isGetVal(rhs) {
-						getVals[lobj] = true
-					}
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			// switch r := p.(type): each clause's implicit r aliases p.
-			var subject ast.Expr
-			switch a := nd.Assign.(type) {
-			case *ast.AssignStmt:
-				subject = a.Rhs[0]
-			case *ast.ExprStmt:
-				subject = a.X
-			}
-			if obj, tracked := aliasOf(subject); tracked {
-				for _, stmt := range nd.Body.List {
-					if impl := info.Implicits[stmt]; impl != nil {
-						aliases[impl] = aliases[obj]
-					}
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range nd.Results {
-				if obj, tracked := aliasOf(res); tracked {
-					markSlot(obj, false, true)
-				}
-				sum.getter = sum.getter || isGetVal(res)
-			}
-		case *ast.CallExpr:
-			if isPoolOp(info, nd, "Put") && len(nd.Args) > 0 {
-				if obj, tracked := aliasOf(nd.Args[0]); tracked {
-					markSlot(obj, true, false)
-				}
-				return true
-			}
-			base := 0
-			if recv := methodValRecv(info, nd); recv != nil {
-				base = 1
-				if obj, tracked := aliasOf(recv); tracked {
-					rel, cap, known := pf.calleeSlotEffect(nd, 0)
-					markSlot(obj, rel, cap || !known) // unknown method on a param: assume escape
-				}
-			}
-			builtin := ""
-			if id, ok := ast.Unparen(nd.Fun).(*ast.Ident); ok {
-				if b, ok := info.Uses[id].(*types.Builtin); ok {
-					builtin = b.Name()
-				}
-			}
-			for i, arg := range nd.Args {
-				obj, tracked := aliasOf(arg)
-				switch {
-				case !tracked:
-				case builtin != "":
-					markSlot(obj, false, builtin == "append")
-				default:
-					rel, cap, known := pf.calleeSlotEffect(nd, base+i)
-					markSlot(obj, rel, cap || !known) // unknown callee: the parameter may escape
-				}
-			}
-		case *ast.CompositeLit:
-			for _, el := range nd.Elts {
-				captureMentioned(el)
-			}
-		case *ast.SendStmt:
-			if obj, tracked := aliasOf(nd.Value); tracked {
-				markSlot(obj, false, true)
-			}
-		case *ast.FuncLit:
-			captureMentioned(nd.Body)
-			return false
-		case *ast.UnaryExpr:
-			if nd.Op == token.AND {
-				if obj, tracked := aliasOf(nd.X); tracked {
-					markSlot(obj, false, true)
-				}
-			}
-		}
-		return true
-	})
-	return sum
+	s.ownScan = ownScan{pf: pf, info: n.Pkg.Info, sink: s}
+	walkFunc(s, n)
+	return s.sum
 }
 
-// --- intra-function checking ---
+func (s *poolSummarizer) body(bool) bool {
+	own := !s.started
+	s.started = true
+	return own
+}
+
+func (s *poolSummarizer) clone(own bool) bool { return own }
+
+func (s *poolSummarizer) join(own, _ bool) bool { return own }
+
+func (s *poolSummarizer) transfer(own bool, n ast.Node) bool {
+	if own {
+		s.scan(n)
+	}
+	return own
+}
+
+func (s *poolSummarizer) effect(id *ast.Ident, eff ownEffect, _ token.Pos, _ bool) {
+	v := s.varOf(id)
+	s.sum.getter = s.sum.getter || eff&effResult != 0 && s.getVals[v]
+	if slot, ok := s.slots[v]; ok {
+		s.sum.releases[slot] = s.sum.releases[slot] || eff&effRelease != 0
+		s.sum.captures[slot] = s.sum.captures[slot] || eff&(effEscape|effOpaque) != 0
+	}
+}
+
+// alias follows the copy: dst stands for whatever src stands for.
+func (s *poolSummarizer) alias(dst *types.Var, src *ast.Ident, implicit bool) {
+	if dst == nil {
+		return
+	}
+	v := s.varOf(src)
+	if slot, ok := s.slots[v]; ok {
+		s.slots[dst] = slot
+	}
+	if s.getVals[v] && !implicit {
+		s.getVals[dst] = true
+	}
+}
+
+func (s *poolSummarizer) bind(dst *types.Var, getter *ast.CallExpr) {
+	switch {
+	case getter == nil:
+	case dst == nil:
+		s.sum.getter = true
+	default:
+		s.getVals[dst] = true
+	}
+}
+
+func (s *poolSummarizer) exit(token.Pos) {}
 
 type ownState uint8
 
@@ -381,31 +547,25 @@ type ownInfo struct {
 
 type ownMap map[*types.Var]ownInfo
 
+// poolChecker applies ownScan's effects, along the paths walkFunc models,
+// to the locals bound from getter calls: each is owned until released, and
+// tracking stops when it escapes, is copied, or paths disagree about it.
 type poolChecker struct {
-	pf       *poolFacts
-	pkg      *Package
+	ownScan
+	pass     *ModulePass
+	st       ownMap // the path being walked
 	reported map[token.Pos]bool
 }
 
 func (c *poolChecker) reportf(pos token.Pos, format string, args ...any) {
-	if c.reported[pos] {
-		return
+	if !c.reported[pos] {
+		c.reported[pos] = true
+		c.pass.Reportf(pos, format, args...)
 	}
-	c.reported[pos] = true
-	c.pf.pass.Reportf(pos, format, args...)
 }
 
 func (c *poolChecker) line(pos token.Pos) int {
-	return c.pf.pass.Fset.Position(pos).Line
-}
-
-// leakCheck reports every still-owned pooled value at an exit point.
-func (c *poolChecker) leakCheck(st ownMap, pos token.Pos) {
-	for v, oi := range st {
-		if oi.state == ownOwned {
-			c.reportf(pos, "pooled value %q (obtained at line %d) is not released on this path; call its Release/Put (or hand ownership off) on every return", v.Name(), c.line(oi.getPos))
-		}
-	}
+	return c.pass.Fset.Position(pos).Line
 }
 
 func (c *poolChecker) body(bool) ownMap { return ownMap{} }
@@ -426,267 +586,63 @@ func (c *poolChecker) join(a, b ownMap) ownMap {
 	return a
 }
 
-// transfer applies one node's ownership effects.
 func (c *poolChecker) transfer(st ownMap, n ast.Node) ownMap {
-	switch s := n.(type) {
-	case ast.Expr:
-		c.scanExpr(st, s)
-	case *ast.AssignStmt:
-		c.walkAssign(st, s.Lhs, s.Rhs)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Values) > 0 {
-					lhs := make([]ast.Expr, len(vs.Names))
-					for i, n := range vs.Names {
-						lhs[i] = n
-					}
-					c.walkAssign(st, lhs, vs.Values)
-				}
-			}
-		}
-	case *ast.ExprStmt:
-		c.scanExpr(st, s.X)
-	case *ast.IncDecStmt:
-		c.scanExpr(st, s.X)
-	case *ast.DeferStmt:
-		c.scanCall(st, s.Call, true)
-	case *ast.GoStmt:
-		c.escapeMentioned(st, s.Call)
-	case *ast.SendStmt:
-		c.scanExpr(st, s.Chan)
-		c.handOff(st, s.Value) // ownership crosses the channel
-	case *ast.ReturnStmt:
-		for _, res := range s.Results {
-			c.handOff(st, res) // returning the value hands ownership out
-		}
-		c.leakCheck(st, s.Pos())
-	}
+	c.st = st
+	c.scan(n)
 	return st
 }
 
-// handOff is a value leaving this function's hands — stored, sent,
-// returned, appended: a tracked variable stops being tracked; anything
-// else is scanned.
-func (c *poolChecker) handOff(st ownMap, e ast.Expr) {
-	if v := c.trackedIdent(st, e); v != nil {
-		delete(st, v)
-		return
-	}
-	c.scanExpr(st, e)
-}
-
-// walkAssign handles bindings: getter results start tracking; overwriting
-// a tracked variable or storing one into a field stops it.
-func (c *poolChecker) walkAssign(st ownMap, lhs, rhs []ast.Expr) {
-	for i, l := range lhs {
-		var r ast.Expr
-		if len(lhs) == len(rhs) {
-			r = rhs[i]
-		} else if i == 0 {
-			r = rhs[0] // v, ok := ... / multi-value call
-		}
-		lid, isIdent := l.(*ast.Ident)
-		if !isIdent {
-			c.scanExpr(st, l)
-			c.handOff(st, r) // stored into a field/element: escapes
-			continue
-		}
-		if r == nil {
-			continue
-		}
-		lobj, _ := c.pkg.Info.Defs[lid].(*types.Var)
-		if lobj == nil {
-			lobj, _ = c.pkg.Info.Uses[lid].(*types.Var)
-		}
-		if v := c.trackedIdent(st, r); v != nil && v != lobj {
-			delete(st, v) // aliased away: conservatively stop tracking
-		} else if call, ok := unwrapValue(r).(*ast.CallExpr); ok && c.pf.isGetter(c.pkg.Info, call) {
-			c.scanCall(st, call, false)
-			if lobj != nil {
-				st[lobj] = ownInfo{state: ownOwned, getPos: call.Pos()}
-			}
-			continue
-		} else {
-			c.scanExpr(st, r)
-		}
-		if lobj != nil {
-			delete(st, lobj) // plain reassignment: previous tracking ends
-		}
-	}
-}
-
-// trackedIdent resolves e to a tracked variable, unwrapping parens and
-// type assertions.
-func (c *poolChecker) trackedIdent(st ownMap, e ast.Expr) *types.Var {
-	id, ok := unwrapValue(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	v, _ := c.pkg.Info.Uses[id].(*types.Var)
-	if _, tracked := st[v]; !tracked {
-		return nil
-	}
-	return v
-}
-
-func (c *poolChecker) release(st ownMap, v *types.Var, pos token.Pos, deferred bool) {
-	oi := st[v]
-	switch oi.state {
-	case ownReleased, ownDeferRel:
+func (c *poolChecker) effect(id *ast.Ident, eff ownEffect, pos token.Pos, deferred bool) {
+	v := c.varOf(id)
+	oi, tracked := c.st[v]
+	switch {
+	case !tracked:
+	case eff&effRelease != 0 && oi.state != ownOwned:
 		c.reportf(pos, "pooled value %q released twice (previous release at line %d); double Put corrupts the pool", v.Name(), c.line(oi.relPos))
-	default:
-		oi.relPos = pos
+	case eff&effRelease != 0:
+		oi.state, oi.relPos = ownReleased, pos
 		if deferred {
 			oi.state = ownDeferRel
-		} else {
-			oi.state = ownReleased
 		}
-		st[v] = oi
-	}
-}
-
-// escapeMentioned drops tracking for every state variable mentioned
-// anywhere under n (goroutines, closures: the value outlives this walk).
-func (c *poolChecker) escapeMentioned(st ownMap, n ast.Node) {
-	ast.Inspect(n, func(nd ast.Node) bool {
-		if id, ok := nd.(*ast.Ident); ok {
-			if v, _ := c.pkg.Info.Uses[id].(*types.Var); v != nil {
-				delete(st, v)
-			}
-		}
-		return true
-	})
-}
-
-// scanExpr walks an expression, applying call effects and use-after-release
-// checks.
-func (c *poolChecker) scanExpr(st ownMap, e ast.Expr) {
-	switch e := e.(type) {
-	case *ast.CallExpr:
-		c.scanCall(st, e, false)
-	case *ast.FuncLit:
-		c.escapeMentioned(st, e)
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				el = kv.Value
-			}
-			c.handOff(st, el)
-		}
-	case *ast.UnaryExpr:
-		if v := c.trackedIdent(st, e.X); v != nil && e.Op == token.AND {
-			delete(st, v) // address taken: aliasing defeats tracking
-			return
-		}
-		c.scanExpr(st, e.X)
-	case *ast.ParenExpr:
-		c.scanExpr(st, e.X)
-	case *ast.TypeAssertExpr:
-		c.scanExpr(st, e.X)
-	case *ast.BinaryExpr:
-		c.scanExpr(st, e.X)
-		c.scanExpr(st, e.Y)
-	case *ast.IndexExpr:
-		c.scanExpr(st, e.X)
-		c.scanExpr(st, e.Index)
-	case *ast.SliceExpr:
-		c.scanExpr(st, e.X)
-		c.scanExpr(st, e.Low)
-		c.scanExpr(st, e.High)
-	case *ast.SelectorExpr:
-		// x.f: a field read through the tracked value is a use.
-		c.useCheck(st, e.X)
-	case *ast.StarExpr:
-		c.scanExpr(st, e.X)
-	case *ast.Ident:
-		c.useCheck(st, e)
-	case *ast.KeyValueExpr:
-		c.scanExpr(st, e.Key)
-		c.scanExpr(st, e.Value)
-	}
-}
-
-// useCheck flags a mention of a released variable.
-func (c *poolChecker) useCheck(st ownMap, e ast.Expr) {
-	id, ok := unwrapValue(e).(*ast.Ident)
-	if !ok {
-		if inner, ok := unwrapValue(e).(*ast.SelectorExpr); ok {
-			c.useCheck(st, inner.X)
-		}
-		return
-	}
-	v, _ := c.pkg.Info.Uses[id].(*types.Var)
-	if oi, tracked := st[v]; tracked && oi.state == ownReleased {
+		c.st[v] = oi
+	case eff&effEscape != 0:
+		delete(c.st, v) // ownership leaves: tracking stops
+	case oi.state == ownReleased:
 		c.reportf(id.Pos(), "pooled value %q used after release (released at line %d); the pool may have already handed it to another goroutine", v.Name(), c.line(oi.relPos))
 	}
 }
 
-// scanCall applies one call's effects to the tracked state; a deferred
-// call's releases happen at function end.
-func (c *poolChecker) scanCall(st ownMap, call *ast.CallExpr, deferred bool) {
-	info := c.pkg.Info
-
-	// Builtins: append captures, the rest are plain uses.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, isB := info.Uses[id].(*types.Builtin); isB {
-			for _, arg := range call.Args {
-				if b.Name() == "append" {
-					c.handOff(st, arg)
-				} else {
-					c.scanExpr(st, arg)
-				}
-			}
-			return
-		}
+// alias stops tracking a copied variable, since two names for one pooled
+// value defeat per-variable tracking; a type switch's clause variables
+// are not followed.
+func (c *poolChecker) alias(dst *types.Var, src *ast.Ident, implicit bool) {
+	if implicit {
+		return
 	}
-
-	// Direct pool.Put.
-	if isPoolOp(info, call, "Put") && len(call.Args) > 0 {
-		if v := c.trackedIdent(st, call.Args[0]); v != nil {
-			c.release(st, v, call.Pos(), deferred)
-			return
-		}
+	v := c.varOf(src)
+	if _, tracked := c.st[v]; tracked && v != dst {
+		delete(c.st, v)
+	} else {
+		c.effect(src, 0, src.Pos(), false)
 	}
+	c.bind(dst, nil)
+}
 
-	callees := c.pf.pass.Graph.Callees(call)
-	recv := methodValRecv(info, call)
-	base := 0
-	if recv != nil {
-		base = 1
-		if v := c.trackedIdent(st, recv); v != nil {
-			rel, cap, known := c.pf.calleeSlotEffect(call, 0)
-			switch {
-			case rel:
-				c.release(st, v, call.Pos(), deferred)
-			case cap || (!known && len(callees) == 0):
-				delete(st, v) // unknown/capturing method: stop tracking
-			default:
-				c.useCheck(st, recv)
-			}
-		} else {
-			c.scanExpr(st, recv)
-		}
-	} else if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		c.scanExpr(st, sel.X)
-	} else if _, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok {
-		c.scanExpr(st, call.Fun)
+func (c *poolChecker) bind(dst *types.Var, getter *ast.CallExpr) {
+	switch {
+	case dst == nil:
+	case getter != nil:
+		c.st[dst] = ownInfo{state: ownOwned, getPos: getter.Pos()}
+	default:
+		delete(c.st, dst) // plain reassignment: previous tracking ends
 	}
+}
 
-	for i, arg := range call.Args {
-		v := c.trackedIdent(st, arg)
-		if v == nil {
-			c.scanExpr(st, arg)
-			continue
-		}
-		rel, cap, known := c.pf.calleeSlotEffect(call, base+i)
-		switch {
-		case rel:
-			c.release(st, v, call.Pos(), deferred)
-		case cap || !known:
-			delete(st, v) // capturing or unknown callee: ownership leaves
-		default:
-			c.useCheck(st, arg)
+// exit reports every still-owned pooled value.
+func (c *poolChecker) exit(pos token.Pos) {
+	for v, oi := range c.st {
+		if oi.state == ownOwned {
+			c.reportf(pos, "pooled value %q (obtained at line %d) is not released on this path; call its Release/Put (or hand ownership off) on every return", v.Name(), c.line(oi.getPos))
 		}
 	}
 }

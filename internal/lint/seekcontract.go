@@ -20,7 +20,7 @@ import (
 var SeekContract = &Analyzer{
 	Name: "seekcontract",
 	Doc:  "SampleIterator implementations must be complete, exactly typed, and live in internal/chunkenc",
-	Run:  runSeekContract,
+	Run:  perPackage(runSeekContract),
 }
 
 // contract method shapes.
@@ -37,7 +37,7 @@ var (
 	}
 )
 
-func runSeekContract(pass *Pass) {
+func runSeekContract(pass *ModulePass, pkg *Package) {
 	// Collect method declarations grouped by receiver named type.
 	type methodDecl struct {
 		decl *ast.FuncDecl
@@ -45,12 +45,12 @@ func runSeekContract(pass *Pass) {
 	}
 	methods := map[*types.TypeName]map[string]methodDecl{}
 	var order []*types.TypeName
-	pass.Inspect(func(n ast.Node) bool {
+	pkg.Inspect(func(n ast.Node) bool {
 		fd, ok := n.(*ast.FuncDecl)
 		if !ok || fd.Recv == nil {
-			return true
+			return !ok // function bodies hold no declarations
 		}
-		obj, _ := pass.Info.Defs[fd.Name].(*types.Func)
+		obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
 		if obj == nil {
 			return true
 		}
@@ -68,7 +68,7 @@ func runSeekContract(pass *Pass) {
 		return false
 	})
 
-	inChunkenc := pass.InScope("internal/chunkenc")
+	inChunkenc := pkg.InScope("internal/chunkenc")
 	for _, tn := range order {
 		decls := methods[tn]
 		seek, hasSeek := decls["Seek"]

@@ -199,6 +199,7 @@ func TestQuerySkipsTablesOutsideIDRange(t *testing.T) {
 	slow := cloud.NewMemStore(cloud.TierObject, cloud.LatencyModel{})
 	low := craftTable(t, mem, 0, 0, 1000, 1, 2, []chunkenc.Sample{{T: 100, V: 1}})
 	high := craftTable(t, mem, 0, 0, 1000, 2, 7, []chunkenc.Sample{{T: 200, V: 2}})
+	commitTables(t, mem, manifestFastPrefix, low, high)
 
 	opts := smallOpts()
 	opts.Fast, opts.Slow = mem, slow

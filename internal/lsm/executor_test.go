@@ -33,6 +33,16 @@ func craftTable(t *testing.T, store cloud.Store, level int, minT, maxT int64, se
 	return name
 }
 
+// commitTables writes the first manifest version of a crafted tier, naming
+// its tables, as a tree's first Open commits one before it has any; r1/r2
+// are left zero, so recovery keeps the options' partition lengths.
+func commitTables(t *testing.T, store cloud.Store, prefix string, keys ...string) {
+	t.Helper()
+	if err := store.Put(manifestKey(prefix, 1), encodeManifest(&manifest{version: 1, tables: keys})); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestGatherChainedOverlapClosure pins the transitive-overlap bug: B
 // overlaps neither the victim nor A's raw interval, but it overlaps the
 // output grid span of (victim ∪ A), so leaving it out would let the job's
@@ -66,10 +76,11 @@ func TestGatherChainedOverlapClosure(t *testing.T) {
 func TestChainedOverlapCompactionEndToEnd(t *testing.T) {
 	fast := cloud.NewMemStore(cloud.TierBlock, cloud.LatencyModel{})
 	slow := cloud.NewMemStore(cloud.TierObject, cloud.LatencyModel{})
-	craftTable(t, fast, 0, 1000, 2000, 1, 1, []chunkenc.Sample{{T: 1100, V: 1}, {T: 1900, V: 2}})
-	craftTable(t, fast, 0, 100000, 101000, 2, 1, []chunkenc.Sample{{T: 100100, V: 9}})
-	craftTable(t, fast, 1, 1500, 3500, 3, 2, []chunkenc.Sample{{T: 1600, V: 3}, {T: 3400, V: 4}})
-	craftTable(t, fast, 1, 3500, 4000, 4, 3, []chunkenc.Sample{{T: 3600, V: 5}})
+	commitTables(t, fast, manifestFastPrefix,
+		craftTable(t, fast, 0, 1000, 2000, 1, 1, []chunkenc.Sample{{T: 1100, V: 1}, {T: 1900, V: 2}}),
+		craftTable(t, fast, 0, 100000, 101000, 2, 1, []chunkenc.Sample{{T: 100100, V: 9}}),
+		craftTable(t, fast, 1, 1500, 3500, 3, 2, []chunkenc.Sample{{T: 1600, V: 3}, {T: 3400, V: 4}}),
+		craftTable(t, fast, 1, 3500, 4000, 4, 3, []chunkenc.Sample{{T: 3600, V: 5}}))
 
 	opts := smallOpts()
 	opts.Fast, opts.Slow = fast, slow
@@ -120,9 +131,10 @@ func TestMidCompactionFaultNoOrphans(t *testing.T) {
 		slow := cloud.NewMemStore(cloud.TierObject, cloud.LatencyModel{})
 		// Victim spans two 1000-unit output windows (outLen = min with the
 		// L1 partition's length), so the compaction builds two partitions.
-		craftTable(t, mem, 0, 0, 2000, 1, 1, []chunkenc.Sample{{T: 100, V: 1}, {T: 1900, V: 2}})
-		craftTable(t, mem, 0, 100000, 101000, 2, 1, []chunkenc.Sample{{T: 100100, V: 9}})
-		craftTable(t, mem, 1, 0, 1000, 3, 2, []chunkenc.Sample{{T: 500, V: 3}})
+		commitTables(t, mem, manifestFastPrefix,
+			craftTable(t, mem, 0, 0, 2000, 1, 1, []chunkenc.Sample{{T: 100, V: 1}, {T: 1900, V: 2}}),
+			craftTable(t, mem, 0, 100000, 101000, 2, 1, []chunkenc.Sample{{T: 100100, V: 9}}),
+			craftTable(t, mem, 1, 0, 1000, 3, 2, []chunkenc.Sample{{T: 500, V: 3}}))
 
 		// Put #1 is the recovery manifest commit; compaction output puts
 		// follow. failAfter=1 fails the first output (writeTables cleanup),
@@ -179,9 +191,11 @@ func (b *barrierStore) Put(key string, data []byte) error {
 func TestParallelCompactionsConcurrent(t *testing.T) {
 	mem := cloud.NewMemStore(cloud.TierBlock, cloud.LatencyModel{})
 	slow := cloud.NewMemStore(cloud.TierObject, cloud.LatencyModel{})
+	var keys []string
 	for i, minT := range []int64{0, 1000, 2000, 100000} {
-		craftTable(t, mem, 0, minT, minT+1000, uint64(i+1), 1, []chunkenc.Sample{{T: minT + 100, V: 1}})
+		keys = append(keys, craftTable(t, mem, 0, minT, minT+1000, uint64(i+1), 1, []chunkenc.Sample{{T: minT + 100, V: 1}}))
 	}
+	commitTables(t, mem, manifestFastPrefix, keys...)
 	fast := &barrierStore{MemStore: mem, release: make(chan struct{})}
 	opts := smallOpts()
 	opts.Fast, opts.Slow = fast, slow

@@ -134,15 +134,16 @@ func (l *LSM) ApplyRetention(watermark int64) int {
 }
 
 // recoverLevels rebuilds the tree metadata from the per-tier manifests
-// (DESIGN.md §4.11). A tier without any manifest object — a pre-manifest
-// tree — falls back to the original listing-based recovery, so upgrades
-// are transparent; the two tiers decide independently, which covers every
-// mixed-version combination. Tombstones carried by the slow manifest are
-// subtracted from the fast table set (they name L1 inputs consumed by an
-// L1→L2 compaction whose fast-manifest write did not land before a crash).
-// After rebuilding, every listed-but-unreferenced object — stranded
-// compaction outputs, undeleted inputs, stale manifest versions — is
-// garbage-collected, and a fresh manifest pair is committed.
+// (DESIGN.md §4.11). A tier with no decodable manifest is empty: every
+// tree commits a manifest pair in its first Open, before it writes any
+// table, so a tier that lists tables without a manifest has lost it, and
+// Open fails naming the tier before anything is deleted. Tombstones
+// carried by the slow manifest are subtracted from the fast table set
+// (they name L1 inputs consumed by an L1→L2 compaction whose fast-manifest
+// write did not land before a crash). After rebuilding, every
+// listed-but-unreferenced object — stranded compaction outputs, undeleted
+// inputs, stale manifest versions — is garbage-collected, and a fresh
+// manifest pair is committed.
 func (l *LSM) recoverLevels() (err error) {
 	start := time.Now()
 	var tablesFast, tablesSlow int
@@ -196,15 +197,22 @@ func (l *LSM) recoverLevels() (err error) {
 		return err
 	}
 
-	// The authoritative table set per tier: the manifest when one exists,
-	// the listing otherwise.
-	fastKeys := fastListed
-	if fastMf != nil {
-		fastKeys = fastMf.tables
-	}
-	slowKeys := slowListed
-	if slowMf != nil {
-		slowKeys = slowMf.tables
+	// The authoritative table set per tier is its manifest's. Without one
+	// the listing cannot stand in: it may hold compacted-away inputs, and
+	// GC against no manifest would delete every table.
+	var fastKeys, slowKeys []string
+	for _, tier := range []struct {
+		name   string
+		mf     *manifest
+		listed []string
+		keys   *[]string
+	}{{"fast", fastMf, fastListed, &fastKeys}, {"slow", slowMf, slowListed, &slowKeys}} {
+		switch {
+		case tier.mf != nil:
+			*tier.keys = tier.mf.tables
+		case len(tier.listed) > 0:
+			return fmt.Errorf("lsm: recover: %s tier lists %d tables (%s first) but has no decodable manifest; refusing to open", tier.name, len(tier.listed), tier.listed[0])
+		}
 	}
 	tablesFast, tablesSlow = len(fastKeys), len(slowKeys)
 
@@ -222,7 +230,7 @@ func (l *LSM) recoverLevels() (err error) {
 	referenced := b.referenced
 
 	// Restore the partition lengths and manifest versions the manifests
-	// recorded (zero-valued for pre-manifest trees).
+	// recorded (none for a new tree).
 	for _, mf := range []*manifest{slowMf, fastMf} {
 		if mf == nil {
 			continue
@@ -266,7 +274,7 @@ func (l *LSM) recoverLevels() (err error) {
 
 	l.fileSeq.Store(maxSeq)
 
-	// Commit a fresh pair: initializes pre-manifest trees, records the
+	// Commit a fresh pair: initializes a new tree, records the
 	// quarantine/GC results, and clears served tombstones.
 	return l.commitManifests(true, true, nil)
 }

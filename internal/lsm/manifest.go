@@ -19,9 +19,8 @@ import (
 // (DESIGN.md §4.11) — a crash between writing output tables and deleting
 // input tables leaves either the old or the new manifest version fully
 // intact, and recovery garbage-collects whatever the surviving version
-// does not reference. Pre-manifest trees (no manifest object present) fall
-// back to the original listing-based recovery, then write their first
-// manifest, so upgrades are transparent.
+// does not reference. A tree commits its first manifest pair when it is
+// created, so recovery never reconstructs a tier from its listing.
 
 const (
 	// manifestMagic is the first line of every manifest record.
@@ -137,9 +136,10 @@ func decodeManifest(data []byte) (*manifest, error) {
 }
 
 // loadManifest reads the newest decodable manifest version under prefix.
-// It returns nil (with no error) when no manifest object exists at all —
-// a pre-manifest tree. stale lists every manifest key that is NOT the
-// chosen version (older versions and torn newer ones), for GC.
+// It returns nil (with no error) when no version decodes — a new tree, or
+// a tier whose manifest was lost, which recoverLevels tells apart by its
+// listing. stale lists every manifest key that is NOT the chosen version
+// (older versions and torn newer ones), for GC.
 //
 // A Get failure on a listed key is a hard error, never a fallback: the key
 // was durably written, so skipping it could silently recover an older

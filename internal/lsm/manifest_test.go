@@ -102,67 +102,64 @@ func TestLoadManifestGetFailureIsHardError(t *testing.T) {
 	}
 }
 
-// TestLegacyTreeUpgradesToManifest covers the pre-manifest fallback: a tree
-// whose stores hold tables but no manifest recovers from listings and
-// writes its first manifest pair.
-func TestLegacyTreeUpgradesToManifest(t *testing.T) {
-	fast := cloud.NewMemStore(cloud.TierBlock, cloud.LatencyModel{})
-	slow := cloud.NewMemStore(cloud.TierObject, cloud.LatencyModel{})
-	opts := smallOpts()
-	opts.Fast, opts.Slow = fast, slow
-	l, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillSequential(t, l, []uint64{1, 2}, 40, 0, 50)
-	if err := l.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	before := querySeries(t, l, 1, 0, 100000)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Strip every manifest object: the stores now look like a pre-manifest
-	// deployment.
-	for _, sp := range []struct {
-		s cloud.Store
-		p string
-	}{{fast, manifestFastPrefix}, {slow, manifestSlowPrefix}} {
-		keys, err := sp.s.List(sp.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(keys) == 0 {
-			t.Fatalf("no manifest objects under %s to strip", sp.p)
-		}
-		for _, k := range keys {
-			if err := sp.s.Delete(k); err != nil {
+// TestTreeWithoutManifestFailsClosed: every tree commits a manifest pair
+// in its first Open, so a tier that lists tables but has no decodable
+// manifest has lost it. Open must fail naming the tier and leave every
+// object in place: recovering from the listing could resurrect
+// compacted-away inputs, and GC against no manifest would delete every
+// table.
+func TestTreeWithoutManifestFailsClosed(t *testing.T) {
+	for _, tier := range []string{"fast", "slow"} {
+		t.Run(tier, func(t *testing.T) {
+			fast := cloud.NewMemStore(cloud.TierBlock, cloud.LatencyModel{})
+			slow := cloud.NewMemStore(cloud.TierObject, cloud.LatencyModel{})
+			opts := smallOpts()
+			opts.Fast, opts.Slow = fast, slow
+			l, err := Open(opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
+			fillSequential(t, l, []uint64{1, 2}, 40, 0, 50)
+			if err := l.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.WaitIdle(); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	l2, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if err := l2.WaitIdle(); err != nil {
-		t.Fatal(err)
-	}
-	after := querySeries(t, l2, 1, 0, 100000)
-	if len(after) != len(before) {
-		t.Fatalf("legacy recovery lost data: %d samples, want %d", len(after), len(before))
-	}
-	if keys, _ := fast.List(manifestFastPrefix); len(keys) != 1 {
-		t.Fatalf("fast manifest not recreated: %v", keys)
-	}
-	if keys, _ := slow.List(manifestSlowPrefix); len(keys) != 1 {
-		t.Fatalf("slow manifest not recreated: %v", keys)
-	}
-	if orphans, err := unreferenced(l2); err != nil || len(orphans) != 0 {
-		t.Fatalf("orphans = %v, %v", orphans, err)
+			store, prefix, tables := fast, manifestFastPrefix, []string{"l0/", "l1/"}
+			if tier == "slow" {
+				store, prefix, tables = slow, manifestSlowPrefix, []string{"l2/"}
+			}
+			var listed int
+			for _, p := range tables {
+				keys, _ := store.List(p)
+				listed += len(keys)
+			}
+			if listed == 0 {
+				t.Fatalf("no %s-tier tables to recover", tier)
+			}
+			keys, _ := store.List(prefix)
+			for _, k := range keys {
+				if err := store.Delete(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fastBefore, _ := fast.List("")
+			slowBefore, _ := slow.List("")
+
+			if _, err := Open(opts); err == nil || !strings.Contains(err.Error(), tier+" tier") {
+				t.Fatalf("Open of a %s tier with tables and no manifest: err = %v, want one naming the tier", tier, err)
+			}
+			fastAfter, _ := fast.List("")
+			slowAfter, _ := slow.List("")
+			if !slices.Equal(fastBefore, fastAfter) || !slices.Equal(slowBefore, slowAfter) {
+				t.Fatalf("failed Open changed the stores:\nfast %v\n  -> %v\nslow %v\n  -> %v", fastBefore, fastAfter, slowBefore, slowAfter)
+			}
+		})
 	}
 }
 

@@ -71,6 +71,7 @@ func openRAFixture(t *testing.T, cacheBytes int64, layout []raSeries) *raFixture
 	if err := slow.Put(raTableName, data); err != nil {
 		t.Fatal(err)
 	}
+	commitTables(t, slow, manifestSlowPrefix, raTableName)
 	opts := smallOpts()
 	opts.Fast = cloud.NewMemStore(cloud.TierBlock, cloud.LatencyModel{})
 	opts.Slow = slow
