@@ -15,11 +15,13 @@ tier1:
 # tier1-faults is the crash-safety gate: vet plus 50 randomized
 # crash-recovery torture schedules AND 50 deterministic mid-compaction kill
 # schedules (every manifest-swap boundary) under the race detector, at a
-# fixed seed so failures reproduce, and a bounded fuzz pass of the WAL's
-# segment-entry decoder over arbitrary checksummed records.
+# fixed seed so failures reproduce, and bounded fuzz passes of the WAL's
+# segment-entry decoder over arbitrary checksummed records and of recovery
+# over a mapped segment's torn, zero-filled tail.
 tier1-faults: vet
 	TORTURE_SCHEDULES=50 TORTURE_SEED=20260806 $(GO) test ./internal/core -run 'TestCrashTorture|TestCompactionKillTorture' -race -count=1
 	$(GO) test -count=1 ./internal/wal -run '^$$' -fuzz FuzzSegmentEntries -fuzztime 2000x
+	$(GO) test -count=1 ./internal/wal -run '^$$' -fuzz FuzzMappedTail -fuzztime 2000x
 
 # tier1-obs is the observability gate: the obs package and the operational
 # HTTP surface under the race detector, the traced-query e2e check, the <5%

@@ -160,8 +160,9 @@ func TestFig17EBSOnly(t *testing.T) {
 			t.Fatalf("engine %s reported no throughput", e)
 		}
 	}
-	// On EBS only, TU beats TU-Group on 5-1-24 (volume-bound, Eq 3 vs 5)
-	// — allow equality slack at tiny scale but both must be finite.
+	// Both models answer 5-1-24 on EBS only. Their order is not checked:
+	// the paper has TU ahead (volume-bound, Eq 3 vs 5), but repeated runs
+	// put either one ahead, so only positive latencies are asserted.
 	if r.Values["q:5-1-24:TU"] <= 0 || r.Values["q:5-1-24:TU-Group"] <= 0 {
 		t.Fatal("missing EBS-only query latencies")
 	}

@@ -11,6 +11,7 @@ import (
 
 	"timeunion/internal/cloud"
 	"timeunion/internal/labels"
+	"timeunion/internal/wal"
 )
 
 // The crash-recovery torture harness: randomized append/flush/purge/sync
@@ -239,7 +240,7 @@ func runTortureSchedule(t *testing.T, seed int64) {
 		inBatch = inBatch[:0]
 	}
 
-	syncSnap := walSizes(t, walDir)
+	syncSnap := walEnds(t, walDir)
 
 	crashes := 2 + rng.Intn(3)
 	for inc := 0; ; inc++ {
@@ -309,7 +310,7 @@ func runTortureSchedule(t *testing.T, seed int64) {
 				flushBatch()
 				if err := db.Sync(); err == nil {
 					promoteAll()
-					syncSnap = walSizes(t, walDir)
+					syncSnap = walEnds(t, walDir)
 					if debug {
 						t.Logf("sync snap=%v", syncSnap)
 					}
@@ -333,17 +334,17 @@ func runTortureSchedule(t *testing.T, seed int64) {
 		clear(seriesIDs)
 		gid, gslots = 0, nil
 		if debug {
-			t.Logf("crash inc=%d sizes=%v snap=%v", inc, walSizes(t, walDir), syncSnap)
+			t.Logf("crash inc=%d ends=%v snap=%v", inc, walEnds(t, walDir), syncSnap)
 		}
-		mangleWAL(t, rng, walDir, syncSnap)
+		damage := mangleWAL(t, rng, walDir, syncSnap)
 		if debug {
-			t.Logf("mangled sizes=%v", walSizes(t, walDir))
+			t.Logf("mangled %v", damage)
 		}
 
 		db, fast, slow = open()
 		// Everything now on disk is the recovered baseline; the next crash
 		// may only damage bytes written after this point.
-		syncSnap = walSizes(t, walDir)
+		syncSnap = walEnds(t, walDir)
 		fast.SetEnabled(false)
 		slow.SetEnabled(false)
 		verifyShadow(t, db, series, members)
@@ -374,36 +375,48 @@ func runTortureSchedule(t *testing.T, seed int64) {
 	}
 }
 
-// walSizes snapshots the current size of every WAL file. Taken right after
-// a successful Sync (or right after a reopen), it is the boundary beyond
-// which a later crash may destroy data: every durable record lies below it.
-func walSizes(t *testing.T, walDir string) map[string]int64 {
+// walEnds snapshots the logged end of every WAL file (wal.LoggedEnd), not
+// its size: an active segment's file runs on past its records with the
+// zeros allocated ahead of them. Taken right after a successful Sync (or
+// right after a reopen), it is the boundary beyond which a later crash may
+// destroy data: every durable record lies below it.
+func walEnds(t *testing.T, walDir string) map[string]int64 {
 	t.Helper()
-	sizes := map[string]int64{}
+	ends := map[string]int64{}
 	entries, err := os.ReadDir(walDir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return sizes
+			return ends
 		}
 		t.Fatalf("snapshot wal: %v", err)
 	}
 	for _, e := range entries {
-		info, err := e.Info()
-		if err != nil {
-			continue
+		if filepath.Ext(e.Name()) == ".wal" {
+			ends[e.Name()] = loggedEnd(t, filepath.Join(walDir, e.Name()))
 		}
-		sizes[e.Name()] = info.Size()
 	}
-	return sizes
+	return ends
+}
+
+func loggedEnd(t *testing.T, path string) int64 {
+	t.Helper()
+	end, err := wal.LoggedEnd(path)
+	if err != nil {
+		t.Fatalf("logged end of %s: %v", path, err)
+	}
+	return end
 }
 
 // mangleWAL simulates what a power cut does to unsynced file tails: for
-// each WAL file, bytes beyond the last-synced snapshot may be truncated at
-// a random point or corrupted in place. Bytes below the snapshot are
-// durable and never touched. The checkpoint is always written via
-// write-sync-rename, so it has no unsynced tail to damage.
-func mangleWAL(t *testing.T, rng *rand.Rand, walDir string, synced map[string]int64) {
+// each WAL file, the bytes logged beyond the last-synced snapshot may be
+// truncated at a random point, corrupted in place, or lost as pages that
+// never reached the disk, which leaves zeros from a random point on in a
+// file that keeps its length. Bytes below the snapshot are durable and
+// never touched. The checkpoint is always written via write-sync-rename,
+// so it has no unsynced tail to damage. It returns what it did to each file.
+func mangleWAL(t *testing.T, rng *rand.Rand, walDir string, synced map[string]int64) map[string]string {
 	t.Helper()
+	damage := map[string]string{}
 	entries, err := os.ReadDir(walDir)
 	if err != nil {
 		t.Fatalf("mangle wal: %v", err)
@@ -412,23 +425,20 @@ func mangleWAL(t *testing.T, rng *rand.Rand, walDir string, synced map[string]in
 		if filepath.Ext(e.Name()) != ".wal" {
 			continue
 		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		cur := info.Size()
+		path := filepath.Join(walDir, e.Name())
+		cur := loggedEnd(t, path)
 		base := synced[e.Name()] // 0 for files created after the snapshot
 		if cur <= base {
 			continue
 		}
-		path := filepath.Join(walDir, e.Name())
 		switch r := rng.Float64(); {
-		case r < 0.40: // torn tail: lose a suffix of the unsynced region
+		case r < 0.35: // torn tail: lose a suffix of the unsynced records
 			cut := base + rng.Int63n(cur-base+1)
 			if err := os.Truncate(path, cut); err != nil {
 				t.Fatalf("truncate %s: %v", path, err)
 			}
-		case r < 0.70: // in-place damage: flip one unsynced byte
+			damage[e.Name()] = fmt.Sprintf("cut at %d of %d", cut, cur)
+		case r < 0.60: // in-place damage: flip one unsynced byte
 			off := base + rng.Int63n(cur-base)
 			f, err := os.OpenFile(path, os.O_RDWR, 0)
 			if err != nil {
@@ -445,8 +455,22 @@ func mangleWAL(t *testing.T, rng *rand.Rand, walDir string, synced map[string]in
 				t.Fatalf("write %s: %v", path, err)
 			}
 			f.Close()
+			damage[e.Name()] = fmt.Sprintf("flip at %d of %d", off, cur)
+		case r < 0.80: // unwritten pages: zeros from a random point on
+			off := base + rng.Int63n(cur-base)
+			f, err := os.OpenFile(path, os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatalf("open %s: %v", path, err)
+			}
+			if _, err := f.WriteAt(make([]byte, cur-off), off); err != nil {
+				f.Close()
+				t.Fatalf("write %s: %v", path, err)
+			}
+			f.Close()
+			damage[e.Name()] = fmt.Sprintf("zeros from %d of %d", off, cur)
 		}
 	}
+	return damage
 }
 
 // verifyShadow checks the durability contract: every durable sample is

@@ -11,9 +11,10 @@ import (
 // use-after-unmap the runtime cannot catch. Two rules keep every such
 // slice's lifetime auditable:
 //
-//  1. Region.Data() may only be called inside internal/xmmap. Other
-//     packages use the typed accessors (SlotArray, FlatArray, ...), whose
-//     returned views carry documented lifetimes.
+//  1. Region.Data(), syscall.Mmap and syscall.Munmap may only be called
+//     inside internal/xmmap. Other packages use the typed accessors
+//     (SlotArray, FlatArray, AppendRegion, ...), whose returned views
+//     carry documented lifetimes, and never hold a mapping of their own.
 //  2. Inside internal/xmmap, a Data()-derived slice (directly or through
 //     local variables) must not be stored into a struct field, a
 //     package-level variable, or a composite literal. Long-lived state
@@ -40,10 +41,17 @@ func runMmapEscape(pass *ModulePass, pkg *Package) {
 			return false
 		}
 		if !inXmmap {
-			// Rule 1: no raw Data() calls outside the owning package.
+			// Rule 1: no raw Data() calls or mappings outside the owning
+			// package.
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok && isRegionData(pkg.Info, call) {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if isRegionData(pkg.Info, call) {
 					pass.Reportf(call.Pos(), "Region.Data() outside internal/xmmap exposes raw mmap bytes with no lifetime contract; use a typed xmmap accessor instead")
+				} else if name, ok := calleeFromPkg(pkg.Info, call, "syscall"); ok && (name == "Mmap" || name == "Munmap") {
+					pass.Reportf(call.Pos(), "syscall.%s outside internal/xmmap holds a mapping with no lifetime contract; use an xmmap type instead", name)
 				}
 				return true
 			})

@@ -36,7 +36,7 @@ func recoverAll(t *testing.T, w *WAL) []replayed {
 func countRecords(t *testing.T, path string) int {
 	t.Helper()
 	n := 0
-	if err := scanRecords(path, func([]byte) error { n++; return nil }); err != nil {
+	if _, err := scanRecords(path, -1, func([]byte) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return n
@@ -48,7 +48,7 @@ func recordShapes(t *testing.T, path string) [][]byte {
 	t.Helper()
 	var shapes [][]byte
 	var e entry
-	err := scanRecords(path, func(p []byte) error {
+	_, err := scanRecords(path, -1, func(p []byte) error {
 		var types []byte
 		err := decodeRecord(p, true, &e, func(e *entry) error {
 			types = append(types, e.typ)
@@ -61,6 +61,14 @@ func recordShapes(t *testing.T, path string) [][]byte {
 		t.Fatal(err)
 	}
 	return shapes
+}
+
+// appended returns the active segment's logged bytes: its file holds the
+// allocated extent ahead of them too.
+func appended(w *WAL) int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return int64(w.seg.Len())
 }
 
 func segSize(t *testing.T, path string) int64 {
@@ -95,22 +103,22 @@ func writeBatchLog(t *testing.T, dir string, trailer bool) (string, []int64) {
 	path := w.segPath(w.segIdx)
 	var sizes []int64
 	logOne(t, w, 1, 1)
-	sizes = append(sizes, segSize(t, path))
+	sizes = append(sizes, appended(w))
 	stage(t, w, 1, 2)
 	stage(t, w, 2, 1)
 	if err := w.StageGroupSample(1<<63|1, 1, 30, []uint32{0, 2}, []float64{1.5, 2.5}); err != nil {
 		t.Fatal(err)
 	}
-	if got := segSize(t, path); got != sizes[0] {
+	if got := appended(w); got != sizes[0] {
 		t.Fatalf("staged entries reached the file before Commit: size %d, want %d", got, sizes[0])
 	}
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	sizes = append(sizes, segSize(t, path))
+	sizes = append(sizes, appended(w))
 	if trailer {
 		logOne(t, w, 1, 3)
-		sizes = append(sizes, segSize(t, path))
+		sizes = append(sizes, appended(w))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -198,7 +206,7 @@ func TestCorruptBatchRepaired(t *testing.T) {
 		if err := os.WriteFile(cpath, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		err = scanRecords(cpath, func([]byte) error { return nil })
+		_, err = scanRecords(cpath, -1, func([]byte) error { return nil })
 		var ce *CorruptionError
 		if !errors.As(err, &ce) || ce.Offset != sizes[0] {
 			// A flipped length byte can reframe the rest of the file as
@@ -337,7 +345,7 @@ func TestOversizedBatchCommitsEarly(t *testing.T) {
 	w := openTestWAL(t, dir, 64<<20)
 	path := w.segPath(w.segIdx)
 	seq := uint64(0)
-	for segSize(t, path) == 0 {
+	for appended(w) == 0 {
 		if seq > maxPendingBytes {
 			t.Fatalf("%d staged entries and nothing written", seq)
 		}
@@ -348,7 +356,7 @@ func TestOversizedBatchCommitsEarly(t *testing.T) {
 			}
 		}
 	}
-	if size := segSize(t, path); size < maxPendingBytes {
+	if size := appended(w); size < maxPendingBytes {
 		t.Fatalf("early commit wrote %d bytes, want at least %d", size, maxPendingBytes)
 	}
 	stage(t, w, 1, seq+1)

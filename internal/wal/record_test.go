@@ -18,7 +18,7 @@ const goldenGID = 1<<63 | 7
 // with continuations and a group round, and one flush's marks, in that
 // order. It returns the segment's path, the offset at which its last
 // record (the flush marks) starts, and the entries written before it.
-func writeEveryKind(t *testing.T, dir string) (seg string, lastStart int64, entries []logged) {
+func writeEveryKind(t testing.TB, dir string) (seg string, lastStart int64, entries []logged) {
 	t.Helper()
 	w := openTestWAL(t, dir, 0)
 	seg = w.segPath(w.segIdx)
@@ -53,7 +53,7 @@ func writeEveryKind(t *testing.T, dir string) (seg string, lastStart int64, entr
 	entries = append(entries, logged{id: goldenGID, seq: 2, t: 2000, vals: vals})
 	must(w.Commit())
 
-	lastStart = segSize(t, seg)
+	lastStart = appended(w)
 	marks := make([]FlushMark, 50)
 	for i := range marks {
 		marks[i] = FlushMark{ID: uint64(i + 1), Seq: 2}
@@ -164,6 +164,8 @@ func TestSingleEntryWritesAllocateNothing(t *testing.T) {
 // TestTornLastRecordRecoversEarlier cuts a log holding every record kind
 // inside its last record's header and inside its payload: recovery
 // replays every entry before that record, with no corruption reported.
+// The cut file either ends there or runs on in zeros to the end of its
+// 64 KiB allocation, as a mapped segment torn by a crash does.
 func TestTornLastRecordRecoversEarlier(t *testing.T) {
 	refDir := t.TempDir()
 	seg, lastStart, want := writeEveryKind(t, refDir)
@@ -178,29 +180,35 @@ func TestTornLastRecordRecoversEarlier(t *testing.T) {
 	// The marks record's payload is 151 bytes, so its header is a 2-byte
 	// length and the 4-byte CRC.
 	const hdrLen = 6
-	for cut := lastStart + 1; cut < int64(len(data)); cut++ {
-		part := "payload"
-		if cut < lastStart+hdrLen {
-			part = "header"
+	for _, tail := range []string{"trimmed", "preallocated"} {
+		for cut := lastStart + 1; cut < int64(len(data)); cut++ {
+			part := "payload"
+			if cut < lastStart+hdrLen {
+				part = "header"
+			}
+			torn := data[:cut:cut]
+			if tail == "preallocated" {
+				torn = append(torn, make([]byte, 64<<10-cut)...)
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "catalog.wal"), cat, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, filepath.Base(seg)), torn, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			w := openTestWAL(t, dir, 0)
+			got, err := recoverLogged(w)
+			if err != nil {
+				t.Fatalf("%s, cut %d inside the %s: recover: %v", tail, cut, part, err)
+			}
+			if r := w.CorruptionsRepaired(); len(r) != 0 {
+				t.Fatalf("%s, cut %d inside the %s: torn tail reported as corruption: %v", tail, cut, part, r)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, cut %d inside the %s: replayed\n%v\nwant\n%v", tail, cut, part, got, want)
+			}
+			w.Close()
 		}
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "catalog.wal"), cat, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(seg)), data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		w := openTestWAL(t, dir, 0)
-		got, err := recoverLogged(w)
-		if err != nil {
-			t.Fatalf("cut %d inside the %s: recover: %v", cut, part, err)
-		}
-		if r := w.CorruptionsRepaired(); len(r) != 0 {
-			t.Fatalf("cut %d inside the %s: torn tail reported as corruption: %v", cut, part, r)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("cut %d inside the %s: replayed\n%v\nwant\n%v", cut, part, got, want)
-		}
-		w.Close()
 	}
 }

@@ -22,8 +22,9 @@
 // writes one flush's marks as one record (DESIGN.md §4.6). Inside a batch,
 // a sample that continues the previous one (next id, same seq and t) is
 // logged as its value alone. Every record, catalog ones included, is built
-// in a buffer the WAL owns behind room for its header and reaches the file
-// in one write(2).
+// in a buffer the WAL owns behind room for its header. A segment record is
+// then copied into a shared mapping of the active segment
+// (xmmap.AppendRegion), a catalog record written with one write(2).
 //
 // Purge is conservative: a segment is removed only when every sample record
 // in it is at or below its series' flushed sequence. That includes the
@@ -49,6 +50,7 @@ import (
 	"timeunion/internal/encoding"
 	"timeunion/internal/labels"
 	"timeunion/internal/obs"
+	"timeunion/internal/xmmap"
 )
 
 // Record types.
@@ -73,6 +75,12 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // DefaultSegmentSize bounds one WAL segment file.
 const DefaultSegmentSize = 4 << 20
 
+// segmentHeadroom is mapped past a segment's size bound. A segment rolls
+// once it reaches the bound, so a record up to this size, a full pending
+// batch included, fits in the active segment wherever it stands; only a
+// larger one rolls the segment first.
+const segmentHeadroom = 2 * maxPendingBytes
+
 // CorruptionError reports a record whose checksum failed mid-file: unlike
 // a truncated or torn tail (a crash cut the last write short, which is
 // expected and harmless), bytes after the bad record mean the log was
@@ -94,9 +102,8 @@ type WAL struct {
 	segmentSize int
 
 	catalog *os.File
-	seg     *os.File
+	seg     *xmmap.AppendRegion
 	segIdx  int
-	segSize int
 
 	// pending holds staged batch entries behind the header room and a
 	// recBatch type byte (meaningless when pendingN is 0); pendingN counts
@@ -105,16 +112,18 @@ type WAL struct {
 	pendingN int
 	// rec is where every other record (one sample or group round, one
 	// flush's marks, one catalog definition) is built behind the header
-	// room and written from, so such a record costs one write(2) and, once
-	// rec has grown, no allocation.
+	// room and appended from, so such a record costs one copy into the
+	// segment (or one write(2) to the catalog) and, once rec has grown, no
+	// allocation.
 	rec encoding.Buf
 	// last is the sample staged last in the pending batch, which the next
 	// staged sample may continue (recSampleNext); ok is false when the
 	// batch is empty or its last entry is a group round.
 	last lastSample
-	// failed is the first batch write error. The entries it lost are
-	// already applied and may belong to several callers, so every later
-	// write returns it rather than acknowledge what the log cannot hold.
+	// failed is the first failed segment append or roll. A batch's lost
+	// entries are already applied and may belong to several callers, and a
+	// failed roll may leave no active segment, so every later write returns
+	// it rather than acknowledge what the log cannot hold.
 	failed error
 
 	// purgeMu serializes Purge calls so two purges cannot interleave
@@ -202,7 +211,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 	if len(segs) > 0 {
 		w.segIdx = segs[len(segs)-1] + 1
 	}
-	if err := w.openSegment(); err != nil {
+	if err := w.openSegment(0); err != nil {
 		_ = cat.Close() // discard: the original error is what the caller needs
 		return nil, err
 	}
@@ -211,7 +220,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 		w.mRolls = reg.Counter("timeunion_wal_segment_rolls_total", "", "Sample segments closed, at the size bound or by a purge that drops the fully flushed active segment.")
 		w.mRecords = reg.Counter("timeunion_wal_records_total", "", "Sample, group-round and flush-mark entries appended to segments; a batch record counts each of its entries.")
 		w.mPurged = reg.Counter("timeunion_wal_purged_segments_total", "", "Obsolete segments removed by Purge.")
-		reg.GaugeFunc("timeunion_wal_size_bytes", "", "On-disk WAL volume (catalog + segments + checkpoint).",
+		reg.GaugeFunc("timeunion_wal_size_bytes", "", "Logged WAL bytes (catalog + closed segments + the active segment's appended bytes + checkpoint).",
 			func() float64 { return float64(w.SizeBytes()) })
 		reg.GaugeFunc("timeunion_wal_corruptions_repaired", "", "Mid-file corruptions truncated away by the last recovery.",
 			func() float64 { return float64(len(w.CorruptionsRepaired())) })
@@ -239,19 +248,21 @@ func (w *WAL) segmentIndexes() ([]int, error) {
 	return idxs, nil
 }
 
-func (w *WAL) openSegment() error {
-	f, err := os.OpenFile(w.segPath(w.segIdx), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// openSegment creates segment w.segIdx and maps it with room for the size
+// bound and its headroom, or for need bytes if that is more. The caller
+// holds w.mu or owns w.
+func (w *WAL) openSegment(need int) error {
+	r, err := xmmap.CreateAppendRegion(w.segPath(w.segIdx), max(w.segmentSize+segmentHeadroom, need))
 	if err != nil {
 		return fmt.Errorf("wal: open segment: %w", err)
 	}
 	// The new segment's directory entry must survive a crash, or recovery
 	// would skip records written to a file with no durable name.
 	if err := syncDir(w.dir); err != nil {
-		_ = f.Close() // discard: the original error is what the caller needs
+		_ = r.Close() // discard: the original error is what the caller needs
 		return fmt.Errorf("wal: sync dir: %w", err)
 	}
-	w.seg = f
-	w.segSize = 0
+	w.seg = r
 	return nil
 }
 
@@ -281,31 +292,38 @@ func beginRecord(b *encoding.Buf) *encoding.Buf {
 	return b
 }
 
-// writeRecord frames the record built in rec (hdrRoom bytes of room, then
-// the payload) and writes it with one Write: uvarint len | crc32 | payload.
-// The header goes right-aligned into the room, so the payload is not copied.
-func writeRecord(f *os.File, rec []byte) (int, error) {
+// frameRecord frames the record built in rec (hdrRoom bytes of room, then
+// the payload) and returns it: uvarint len | crc32 | payload. The header
+// goes right-aligned into the room, so the payload is not copied.
+func frameRecord(rec []byte) []byte {
 	payload := rec[hdrRoom:]
 	var lenBuf [binary.MaxVarintLen32]byte
 	n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
 	start := hdrRoom - 4 - n
 	copy(rec[start:], lenBuf[:n])
 	binary.BigEndian.PutUint32(rec[hdrRoom-4:], crc32.Checksum(payload, crcTable))
-	return f.Write(rec[start:])
+	return rec[start:]
 }
 
-// appendLocked writes the record built in rec, which holds entries
-// entries, to the active segment and rolls the segment once it reaches its
-// size bound. The caller holds w.mu.
+// appendLocked copies the record built in rec, which holds entries
+// entries, into the active segment and rolls the segment once it reaches
+// its size bound. A record that would cross the end of the mapping rolls
+// the segment first; one larger than a whole segment gets a segment of its
+// own. A failed append poisons the log. The caller holds w.mu.
 func (w *WAL) appendLocked(rec []byte, entries int) error {
-	n, err := writeRecord(w.seg, rec)
-	if err != nil {
-		return fmt.Errorf("wal: append: %w", err)
+	framed := frameRecord(rec)
+	if len(framed) > w.seg.Room() {
+		if err := w.rollLocked(len(framed)); err != nil {
+			return err
+		}
+	}
+	if err := w.seg.Append(framed); err != nil {
+		w.failed = fmt.Errorf("wal: append: %w", err)
+		return w.failed
 	}
 	w.mRecords.Add(uint64(entries))
-	w.segSize += n
-	if w.segSize >= w.segmentSize {
-		return w.rollLocked()
+	if w.seg.Len() >= w.segmentSize {
+		return w.rollLocked(0)
 	}
 	return nil
 }
@@ -344,11 +362,7 @@ func (w *WAL) commitLocked() error {
 	}
 	n := w.pendingN
 	w.pendingN = 0
-	if err := w.appendLocked(w.pending.B, n); err != nil {
-		w.failed = err
-		return err
-	}
-	return nil
+	return w.appendLocked(w.pending.B, n)
 }
 
 // StageSample adds one sample of an individual series to the pending
@@ -397,35 +411,39 @@ func (w *WAL) Commit() error {
 	return w.commitLocked()
 }
 
-// rollLocked closes the active segment (full, or fully flushed and about
-// to be purged) and opens its replacement, journaling the roll's outcome
-// on every exit path. A rolled segment is closed forever: sync it now so
-// Purge's "everything before the active segment is on disk" assumption
-// holds, then make its replacement durable. The caller holds w.mu.
-func (w *WAL) rollLocked() (err error) {
+// rollLocked closes the active segment (full, fully flushed and about to
+// be purged, or without room for the next record) and opens its
+// replacement, mapped with room for need bytes at least, journaling the
+// roll's outcome on every exit path. A rolled segment is closed forever:
+// trim and sync it now so Purge's "everything before the active segment is
+// on disk" assumption holds, then make its replacement durable. A failed
+// roll may leave no active segment, so it poisons the log. The caller holds
+// w.mu.
+func (w *WAL) rollLocked(need int) (err error) {
 	start := time.Now()
-	rolled, size := w.segIdx, w.segSize
+	rolled, size := w.segIdx, w.seg.Len()
 	defer func() {
+		if err != nil {
+			w.failed = err
+		}
 		w.journal.Emit("wal.roll", start, err, map[string]any{
 			"segment": rolled, "size_bytes": size,
 		})
 	}()
-	if err = w.seg.Sync(); err != nil {
-		return fmt.Errorf("wal: sync rolled segment: %w", err)
-	}
-	w.mFsync.Observe(time.Since(start))
-	w.mRolls.Inc()
 	if err = w.seg.Close(); err != nil {
 		return fmt.Errorf("wal: roll segment: %w", err)
 	}
+	w.mFsync.Observe(time.Since(start))
+	w.mRolls.Inc()
 	w.segIdx++
-	return w.openSegment()
+	return w.openSegment(need)
 }
 
 // writeCatalogLocked writes the record built in w.rec to the catalog. The
-// caller holds w.mu.
+// catalog keeps write(2): it is written once per series definition and
+// never rolls, so it has no mapping to size. The caller holds w.mu.
 func (w *WAL) writeCatalogLocked() error {
-	if _, err := writeRecord(w.catalog, w.rec.B); err != nil {
+	if _, err := w.catalog.Write(frameRecord(w.rec.B)); err != nil {
 		return fmt.Errorf("wal: append catalog: %w", err)
 	}
 	return nil
@@ -562,7 +580,8 @@ func (w *WAL) Sync() error {
 	return nil
 }
 
-// Close commits, syncs and closes all files.
+// Close commits, syncs and closes all files, trimming the active segment
+// to its appended bytes.
 func (w *WAL) Close() error {
 	if err := w.Sync(); err != nil {
 		return err
@@ -575,16 +594,17 @@ func (w *WAL) Close() error {
 	return w.seg.Close()
 }
 
-// CrashClose closes the file handles WITHOUT syncing and drops the pending
-// batch, so buffered state is abandoned exactly as a process crash would
-// abandon it. It exists for crash-recovery tests; the WAL must not be used
-// afterwards.
+// CrashClose closes the file handles WITHOUT syncing, unmaps the active
+// segment without trimming it and drops the pending batch, so buffered
+// state is abandoned exactly as a process crash would abandon it: the
+// segment keeps its zero tail. It exists for crash-recovery tests; the WAL
+// must not be used afterwards.
 func (w *WAL) CrashClose() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.pendingN = 0
 	cerr := w.catalog.Close()
-	serr := w.seg.Close()
+	serr := w.seg.Abandon()
 	if cerr != nil {
 		return cerr
 	}
@@ -703,11 +723,12 @@ type purgePlan struct {
 }
 
 // scanPurge scans every segment against a snapshot of the flushed
-// sequences, without holding w.mu.
+// sequences, without holding w.mu. It reads the active segment only up to
+// the length it snapshotted: a record past it may be half copied.
 func (w *WAL) scanPurge() (purgePlan, error) {
 	var p purgePlan
 	w.mu.Lock()
-	p.activeIdx, p.activeSize = w.segIdx, w.segSize
+	p.activeIdx, p.activeSize = w.segIdx, w.seg.Len()
 	flushed := make(map[uint64]uint64, len(w.flushedSeq))
 	for k, v := range w.flushedSeq {
 		flushed[k] = v
@@ -722,7 +743,11 @@ func (w *WAL) scanPurge() (purgePlan, error) {
 		if idx > p.activeIdx || idx == p.activeIdx && p.activeSize == 0 {
 			continue
 		}
-		obsolete, err := segmentObsolete(w.segPath(idx), flushed)
+		limit := int64(-1)
+		if idx == p.activeIdx {
+			limit = int64(p.activeSize)
+		}
+		obsolete, err := segmentObsolete(w.segPath(idx), limit, flushed)
 		if err != nil {
 			return p, err
 		}
@@ -744,16 +769,14 @@ func (w *WAL) scanPurge() (purgePlan, error) {
 // it: nothing was appended or staged since, and the log is healthy.
 func (w *WAL) applyPurge(p purgePlan) (dropped int, err error) {
 	w.mu.Lock()
-	active := p.active && w.segIdx == p.activeIdx && w.segSize == p.activeSize && w.pendingN == 0 && w.failed == nil
+	active := p.active && w.segIdx == p.activeIdx && w.seg.Len() == p.activeSize && w.pendingN == 0 && w.failed == nil
 	if len(p.drop) == 0 && !active {
 		w.mu.Unlock()
 		return 0, nil
 	}
 	err = w.writeCheckpoint()
 	if err == nil && active {
-		if err = w.rollLocked(); err != nil {
-			w.failed = err // the active segment may be closed with no replacement
-		}
+		err = w.rollLocked(0)
 		p.drop = append(p.drop, p.activeIdx)
 	}
 	w.mu.Unlock()
@@ -770,11 +793,12 @@ func (w *WAL) applyPurge(p purgePlan) (dropped int, err error) {
 	return dropped, nil
 }
 
-// segmentObsolete reports whether every sample entry in the segment is at
-// or below its series' flushed sequence.
-func segmentObsolete(path string, flushed map[uint64]uint64) (bool, error) {
+// segmentObsolete reports whether every sample entry in the segment's first
+// limit bytes (all of it if limit < 0) is at or below its series' flushed
+// sequence.
+func segmentObsolete(path string, limit int64, flushed map[uint64]uint64) (bool, error) {
 	obsolete := true
-	err := scanEntries(path, false, func(e *entry) error {
+	err := scanEntries(path, limit, false, func(e *entry) error {
 		if e.typ != recFlushMark && e.seq > flushed[e.id] {
 			obsolete = false
 		}
@@ -802,18 +826,20 @@ type entry struct {
 // before it in its batch: the log was written wrong, not torn.
 var errOrphanContinuation = errors.New("wal: continuation entry without a sample before it")
 
-// scanEntries calls fn for every entry of every record in a segment, in
-// file order; a record is a single entry or a recBatch of entries. A
-// batch's entries are decoded in full, since a batch can only be walked
-// that way; a recSampleNext entry is passed to fn as the recSample it
-// stands for. A single-entry record is decoded past its id and seq only
-// when full is set, which only replay needs. The entry passed to fn,
-// slots and vals included, is reused from one call to the next.
-func scanEntries(path string, full bool, fn func(*entry) error) error {
+// scanEntries calls fn for every entry of every record in a segment's first
+// limit bytes (all of it if limit < 0), in file order; a record is a single
+// entry or a recBatch of entries. A batch's entries are decoded in full,
+// since a batch can only be walked that way; a recSampleNext entry is
+// passed to fn as the recSample it stands for. A single-entry record is
+// decoded past its id and seq only when full is set, which only replay
+// needs. The entry passed to fn, slots and vals included, is reused from
+// one call to the next.
+func scanEntries(path string, limit int64, full bool, fn func(*entry) error) error {
 	var e entry
-	return scanRecords(path, func(payload []byte) error {
+	_, err := scanRecords(path, limit, func(payload []byte) error {
 		return decodeRecord(payload, full, &e, fn)
 	})
+	return err
 }
 
 // decodeRecord is scanEntries for one record's payload, decoding into e.
@@ -871,38 +897,71 @@ func decodeRecord(payload []byte, full bool, e *entry, fn func(*entry) error) er
 	}
 }
 
-// scanRecords reads a record-framed file, stopping cleanly at a truncated
-// tail (crash mid-write). A checksum failure that is NOT the file's last
-// record returns a *CorruptionError with the bad record's offset: data
-// after the damage would otherwise be dropped without anyone noticing.
-func scanRecords(path string, fn func(payload []byte) error) error {
+// scanRecords reads the first limit bytes (all of it if limit < 0) of a
+// record-framed file, stops cleanly at the end of what was written and
+// returns that end: the offset past the last whole record. A segment that
+// was mapped and not trimmed (a crash, CrashClose) ends in zeros, so that
+// end is a zero byte at a record boundary with only zeros after it (no
+// record starts with one: a payload is never empty), or a torn record, cut
+// off by the end of the file or followed only by zeros. A bad record or a
+// zero boundary with non-zero bytes after it returns a *CorruptionError
+// with its offset: data after the damage would otherwise be dropped without
+// anyone noticing.
+func scanRecords(path string, limit int64, fn func(payload []byte) error) (end int64, err error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil
+		return 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("wal: read %s: %w", path, err)
+		return 0, fmt.Errorf("wal: read %s: %w", path, err)
+	}
+	if limit >= 0 && int64(len(data)) > limit {
+		data = data[:limit]
 	}
 	d := encoding.NewDecbuf(data)
 	for d.Len() > 0 {
 		start := int64(len(data) - d.Len())
+		if data[start] == 0 {
+			if allZero(d.B) {
+				return start, nil // the unwritten tail of a mapped segment
+			}
+			return start, &CorruptionError{Segment: path, Offset: start}
+		}
 		n := d.Uvarint()
 		crc := d.BE32()
 		payload := d.Bytes(int(n))
 		if d.Err() != nil {
-			return nil // frame extends past EOF: torn tail, stop
+			return start, nil // frame extends past EOF: torn tail, stop
 		}
 		if crc32.Checksum(payload, crcTable) != crc {
-			if d.Len() == 0 {
-				return nil // torn final record: stop
+			if allZero(d.B) {
+				return start, nil // torn final record: stop
 			}
-			return &CorruptionError{Segment: path, Offset: start}
+			return start, &CorruptionError{Segment: path, Offset: start}
 		}
 		if err := fn(payload); err != nil {
-			return err
+			return start, err
 		}
 	}
-	return nil
+	return int64(len(data)), nil
+}
+
+// LoggedEnd returns the end of what was written to the log file at path:
+// the offset past its last whole record. A torn record or the zero tail of
+// a segment a crash left mapped may follow it. Damage followed by more
+// records is a *CorruptionError.
+func LoggedEnd(path string) (int64, error) {
+	return scanRecords(path, -1, func([]byte) error { return nil })
+}
+
+// allZero reports whether b holds only zero bytes.
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // --- recovery ---
@@ -958,7 +1017,12 @@ type Handler struct {
 // truncate re-establishes the "clean prefix" invariant so later scans and
 // purges run on well-formed files, and the surfaced CorruptionError list
 // tells the operator data was lost to damage rather than silently
-// swallowing it.
+// swallowing it. Every file but the active segment is also trimmed to the
+// end of its last whole record, without a report: what a crash left after
+// it (a torn record, a segment's zero tail) is no record, a catalog
+// definition appended after it would read as damage, and a segment's
+// size then counts logged bytes only. The trim is not synced; a tail that
+// comes back is read the same way.
 func (w *WAL) repairCorruption() error {
 	paths := []string{filepath.Join(w.dir, "catalog.wal")}
 	segs, err := w.segmentIndexes()
@@ -968,8 +1032,9 @@ func (w *WAL) repairCorruption() error {
 	for _, idx := range segs {
 		paths = append(paths, w.segPath(idx))
 	}
+	active := w.segPath(w.segIdx)
 	for _, path := range paths {
-		err := scanRecords(path, func([]byte) error { return nil })
+		end, err := LoggedEnd(path)
 		var ce *CorruptionError
 		if errors.As(err, &ce) {
 			if err := os.Truncate(path, ce.Offset); err != nil {
@@ -990,6 +1055,14 @@ func (w *WAL) repairCorruption() error {
 		}
 		if err != nil {
 			return err
+		}
+		if path == active {
+			continue
+		}
+		if info, err := os.Stat(path); err == nil && info.Size() > end {
+			if err := os.Truncate(path, end); err != nil {
+				return fmt.Errorf("wal: trim %s: %w", path, err)
+			}
 		}
 	}
 	return nil
@@ -1012,7 +1085,7 @@ func (w *WAL) Recover(h Handler) error {
 		return err
 	}
 	// Catalog first: definitions precede any samples referencing them.
-	err := scanRecords(filepath.Join(w.dir, "catalog.wal"), func(p []byte) error {
+	_, err := scanRecords(filepath.Join(w.dir, "catalog.wal"), -1, func(p []byte) error {
 		d := encoding.NewDecbuf(p)
 		switch d.Byte() {
 		case recSeries:
@@ -1063,7 +1136,7 @@ func (w *WAL) Recover(h Handler) error {
 	}
 	w.mu.Unlock()
 	for _, idx := range segs {
-		err := scanEntries(w.segPath(idx), false, func(e *entry) error {
+		err := scanEntries(w.segPath(idx), -1, false, func(e *entry) error {
 			if e.typ == recFlushMark && e.seq > flushed[e.id] {
 				flushed[e.id] = e.seq
 			}
@@ -1083,7 +1156,7 @@ func (w *WAL) Recover(h Handler) error {
 
 	// Pass 2: replay unflushed samples in order.
 	for _, idx := range segs {
-		err := scanEntries(w.segPath(idx), true, func(e *entry) error {
+		err := scanEntries(w.segPath(idx), -1, true, func(e *entry) error {
 			if e.typ == recFlushMark || e.seq <= flushed[e.id] {
 				return nil
 			}
@@ -1115,15 +1188,23 @@ func (w *WAL) FlushedSeq(id uint64) uint64 {
 	return w.flushedSeq[id]
 }
 
-// SizeBytes returns the on-disk WAL footprint.
+// SizeBytes returns the logged WAL bytes: the catalog, the checkpoint, the
+// closed segments, and the active segment's appended bytes, not the extent
+// allocated ahead of them. A segment a crash left with a zero tail counts
+// its logged bytes too once Recover has trimmed it.
 func (w *WAL) SizeBytes() int64 {
+	w.mu.Lock()
+	active, appended := filepath.Base(w.segPath(w.segIdx)), int64(w.seg.Len())
+	w.mu.Unlock()
 	var total int64
 	entries, err := os.ReadDir(w.dir)
 	if err != nil {
 		return 0
 	}
 	for _, e := range entries {
-		if info, err := e.Info(); err == nil && !e.IsDir() {
+		if e.Name() == active {
+			total += appended
+		} else if info, err := e.Info(); err == nil && !e.IsDir() {
 			total += info.Size()
 		}
 	}

@@ -10,7 +10,7 @@ import (
 	"timeunion/internal/labels"
 )
 
-func openTestWAL(t *testing.T, dir string, segSize int) *WAL {
+func openTestWAL(t testing.TB, dir string, segSize int) *WAL {
 	t.Helper()
 	w, err := Open(dir, Options{SegmentSize: segSize})
 	if err != nil {
@@ -179,7 +179,7 @@ func TestPartialFlushKeepsSegment(t *testing.T) {
 	w.mu.Lock()
 	w.seg.Close()
 	w.segIdx++
-	if err := w.openSegment(); err != nil {
+	if err := w.openSegment(0); err != nil {
 		w.mu.Unlock()
 		t.Fatal(err)
 	}
@@ -282,8 +282,10 @@ func TestSizeBytes(t *testing.T) {
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if w.SizeBytes() == 0 {
-		t.Fatal("SizeBytes = 0")
+	// Only the segment holds bytes, and it counts what was logged, not
+	// the extent allocated ahead of it.
+	if got, want := w.SizeBytes(), appended(w); got != want || want == 0 {
+		t.Fatalf("SizeBytes = %d, want the %d logged bytes", got, want)
 	}
 }
 
@@ -296,17 +298,13 @@ func TestTornWriteEveryBoundary(t *testing.T) {
 	refDir := t.TempDir()
 	w := openTestWAL(t, refDir, 0)
 	const samples = 5
-	var sizes []int64 // sizes[i] = segment size after i+1 records
+	var sizes []int64 // sizes[i] = logged segment bytes after i+1 records
 	segPath := w.segPath(w.segIdx)
 	for seq := uint64(1); seq <= samples; seq++ {
 		if err := w.LogSample(3, seq, int64(seq)*100, float64(seq)); err != nil {
 			t.Fatal(err)
 		}
-		info, err := os.Stat(segPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes = append(sizes, info.Size())
+		sizes = append(sizes, appended(w))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -369,11 +367,7 @@ func TestMidFileCorruptionRepaired(t *testing.T) {
 		if err := w.LogSample(9, seq, int64(seq), float64(seq)); err != nil {
 			t.Fatal(err)
 		}
-		info, err := os.Stat(segPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes = append(sizes, info.Size())
+		sizes = append(sizes, appended(w))
 	}
 	w.Close()
 
