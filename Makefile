@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 tier1-faults tier1-obs tier1-iter tier1-replica benchmark-test race vet lint lint-json bench-parallel
+.PHONY: tier1 tier1-faults tier1-obs tier1-iter tier1-replica benchmark-test examples race vet lint lint-json bench-parallel
 
 # tier1 is the gate every change must keep green: full build + full test run
 # (go test ./... includes TestNoIgnoredDiagnostics, the in-process tulint
@@ -77,6 +77,12 @@ tier1-iter:
 # root never reaches its manifest and statistics tests.
 benchmark-test:
 	cd benchmark && $(GO) test ./...
+
+# examples runs every program under examples/ end to end; each must exit 0.
+# hybrid-tiering is the one that configures Algorithm 1 by its budget
+# alone, and nothing else executes it.
+examples:
+	for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 # race runs the concurrency-sensitive packages under the race detector.
 # The bench experiment suite takes ~3 minutes without race and several

@@ -49,7 +49,7 @@ func main() {
 		dataDir   = flag.String("data", "./data", "data directory (fast/, slow/, local/)")
 		listen    = flag.String("listen", ":9201", "HTTP listen address")
 		retention = flag.Duration("retention", 0, "drop data older than this (0 = keep forever)")
-		fastLimit = flag.Int64("fastlimit", 0, "fast-tier byte budget for dynamic size control (0 = off)")
+		fastLimit = flag.Int64("fastlimit", 0, "fast-tier byte budget; a budget > 0 runs dynamic size control (Algorithm 1), 0 = unlimited")
 		debug     = flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
 		traceLog  = flag.Duration("tracelog", 0, "log the span tree of queries slower than this (0 = off)")
 		replica   = flag.Bool("replica", false, "serve as a read replica of the writer sharing -data")
@@ -74,11 +74,10 @@ func main() {
 		})
 	} else {
 		db, err = core.Open(core.Options{
-			Dir:           filepath.Join(*dataDir, "local"),
-			Fast:          fast,
-			Slow:          slow,
-			FastLimit:     *fastLimit,
-			DynamicSizing: *fastLimit > 0,
+			Dir:       filepath.Join(*dataDir, "local"),
+			Fast:      fast,
+			Slow:      slow,
+			FastLimit: *fastLimit,
 		})
 	}
 	if err != nil {

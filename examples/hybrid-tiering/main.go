@@ -26,8 +26,7 @@ func main() {
 		MemTableSize:      32 << 10,
 		L0PartitionLength: 30 * 60 * 1000,
 		L2PartitionLength: 2 * 60 * 60 * 1000,
-		FastLimit:         96 << 10, // the fast-tier budget
-		DynamicSizing:     true,
+		FastLimit:         96 << 10, // the fast-tier budget; > 0 runs Algorithm 1
 	})
 	if err != nil {
 		log.Fatal(err)

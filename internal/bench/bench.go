@@ -242,8 +242,7 @@ type engineConfig struct {
 	memTable     int64
 	chunkSamples int
 
-	fastLimit      int64
-	dynamic        bool
+	fastLimit      int64 // > 0 runs Algorithm 1
 	patchThreshold int
 }
 
@@ -260,10 +259,35 @@ func newEngineConfig(cfg Config, hosts []tsbs.Host) engineConfig {
 
 // --- TimeUnion engines ---
 
+// tuDB is what the three TimeUnion engines share: the database, its
+// tiers, and every engine method that does not depend on the data model.
+type tuDB struct {
+	db *core.DB
+	t  tiers
+}
+
+func (e *tuDB) flush() error { return e.db.Flush() }
+
+func (e *tuDB) query(q tsbs.Query) (int, int, error) {
+	res, err := e.db.Query(q.MinT, q.MaxT, q.Matchers...)
+	if err != nil {
+		return 0, 0, err
+	}
+	total := 0
+	for _, s := range res {
+		total += len(s.Samples)
+	}
+	return len(res), total, nil
+}
+
+func (e *tuDB) memory() int64               { return e.db.Stats().Memory.Total() }
+func (e *tuDB) metrics() map[string]float64 { return e.db.Metrics().Snapshot() }
+func (e *tuDB) stores() tiers               { return e.t }
+func (e *tuDB) close() error                { return e.db.Close() }
+
 // tuEngine is TimeUnion with individual timeseries (TU / TU-fast).
 type tuEngine struct {
-	db  *core.DB
-	t   tiers
+	tuDB
 	ids [][]uint64 // [host][series]
 	nm  string
 }
@@ -285,7 +309,6 @@ func newTUEngine(ec engineConfig, name string) (*tuEngine, error) {
 		L0PartitionLength: ec.l0Len,
 		L2PartitionLength: ec.l2Len,
 		FastLimit:         ec.fastLimit,
-		DynamicSizing:     ec.dynamic,
 		PatchThreshold:    ec.patchThreshold,
 		BlockSize:         4096,
 		CompactionWorkers: ec.cfg.CompactionWorkers,
@@ -293,7 +316,7 @@ func newTUEngine(ec engineConfig, name string) (*tuEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &tuEngine{db: db, t: t, nm: name}
+	e := &tuEngine{tuDB: tuDB{db: db, t: t}, nm: name}
 	e.ids = make([][]uint64, len(ec.hosts))
 	for hi, h := range ec.hosts {
 		e.ids[hi] = make([]uint64, tsbs.SeriesPerHost)
@@ -326,36 +349,9 @@ func (e *tuEngine) insertOutOfOrder(host, series int, t int64, v float64) error 
 	return e.db.AppendFast(e.ids[host][series], t, v)
 }
 
-func (e *tuEngine) flush() error { return e.db.Flush() }
-
-func (e *tuEngine) query(q tsbs.Query) (int, int, error) {
-	res, err := e.db.Query(q.MinT, q.MaxT, q.Matchers...)
-	if err != nil {
-		return 0, 0, err
-	}
-	total := 0
-	for _, s := range res {
-		ts := make([]int64, len(s.Samples))
-		vs := make([]float64, len(s.Samples))
-		for i, p := range s.Samples {
-			ts[i] = p.T
-			vs[i] = p.V
-		}
-		tsbs.AggregateMax(ts, vs, q.MinT, q.MaxT, q.WindowMs)
-		total += len(s.Samples)
-	}
-	return len(res), total, nil
-}
-
-func (e *tuEngine) memory() int64               { return e.db.Stats().Memory.Total() }
-func (e *tuEngine) metrics() map[string]float64 { return e.db.Metrics().Snapshot() }
-func (e *tuEngine) stores() tiers               { return e.t }
-func (e *tuEngine) close() error                { return e.db.Close() }
-
 // tuGroupEngine is TimeUnion with one group per host (TU-Group).
 type tuGroupEngine struct {
-	db    *core.DB
-	t     tiers
+	tuDB
 	gids  []uint64
 	slots [][]int
 }
@@ -377,14 +373,13 @@ func newTUGroupEngine(ec engineConfig) (*tuGroupEngine, error) {
 		L0PartitionLength: ec.l0Len,
 		L2PartitionLength: ec.l2Len,
 		FastLimit:         ec.fastLimit,
-		DynamicSizing:     ec.dynamic,
 		BlockSize:         4096,
 		CompactionWorkers: ec.cfg.CompactionWorkers,
 	})
 	if err != nil {
 		return nil, err
 	}
-	e := &tuGroupEngine{db: db, t: t}
+	e := &tuGroupEngine{tuDB: tuDB{db: db, t: t}}
 	// One group per host: shared tags = the 10 host tags; unique tags =
 	// measurement+field (the paper's "timeseries from the same host form
 	// a group").
@@ -419,25 +414,6 @@ func (e *tuGroupEngine) insertRound(t int64, vals [][]float64) error {
 func (e *tuGroupEngine) insertOutOfOrder(host, series int, t int64, v float64) error {
 	return e.db.AppendGroupFast(e.gids[host], []int{e.slots[host][series]}, t, []float64{v})
 }
-
-func (e *tuGroupEngine) flush() error { return e.db.Flush() }
-
-func (e *tuGroupEngine) query(q tsbs.Query) (int, int, error) {
-	res, err := e.db.Query(q.MinT, q.MaxT, q.Matchers...)
-	if err != nil {
-		return 0, 0, err
-	}
-	total := 0
-	for _, s := range res {
-		total += len(s.Samples)
-	}
-	return len(res), total, nil
-}
-
-func (e *tuGroupEngine) memory() int64               { return e.db.Stats().Memory.Total() }
-func (e *tuGroupEngine) metrics() map[string]float64 { return e.db.Metrics().Snapshot() }
-func (e *tuGroupEngine) stores() tiers               { return e.t }
-func (e *tuGroupEngine) close() error                { return e.db.Close() }
 
 // tuLdbEngine is TU-LDB: TimeUnion head over the classic leveled LSM.
 type tuLdbEngine struct {
@@ -477,7 +453,7 @@ func newTULDBEngine(ec engineConfig) (*tuLdbEngine, error) {
 		store.Close()
 		return nil, err
 	}
-	e := &tuLdbEngine{tuEngine: tuEngine{db: db, t: t, nm: "TU-LDB"}}
+	e := &tuLdbEngine{tuEngine: tuEngine{tuDB: tuDB{db: db, t: t}, nm: "TU-LDB"}}
 	e.ids = make([][]uint64, len(ec.hosts))
 	for hi, h := range ec.hosts {
 		e.ids[hi] = make([]uint64, tsbs.SeriesPerHost)

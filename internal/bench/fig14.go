@@ -75,6 +75,18 @@ func runEngineEval(cfg Config, o engineEvalOptions) (*Report, error) {
 		r.Values["insert:"+name] = tput
 		r.addRow(name, "memory", fmtBytes(e.memory()))
 		r.Values["mem:"+name] = float64(e.memory())
+		// Chunks handed to the tree per sample, on the TimeUnion engines
+		// (the others export no metrics): a group chunk carries every
+		// member's values of its rounds, so TU-Group hands over far fewer
+		// chunks than TU (§3.1). A count, unlike a throughput, does not
+		// move with the machine's load.
+		if snap := e.metrics(); snap != nil {
+			chunks := snap[`timeunion_head_chunks_flushed_total{kind="series"}`] +
+				snap[`timeunion_head_chunks_flushed_total{kind="group"}`]
+			perSample := chunks / float64(samples)
+			r.addRow(name, "chunks/sample", fmt.Sprintf("%.5f", perSample))
+			r.Values["chunks/sample:"+name] = perSample
+		}
 
 		// Query phase: median of QueriesPerPattern runs per pattern,
 		// identical query seeds across engines.

@@ -29,7 +29,6 @@ func Fig18a(cfg Config) (*Report, error) {
 	for _, limit := range limits {
 		ec := newEngineConfig(cfg, hosts)
 		ec.fastLimit = limit
-		ec.dynamic = true
 		e, err := newTUEngine(ec, "TU")
 		if err != nil {
 			return nil, err

@@ -20,7 +20,6 @@ func Fig19(cfg Config) (*Report, error) {
 	hosts := tsbs.Hosts(cfg.Hosts, cfg.Seed)
 	ec := newEngineConfig(cfg, hosts)
 	ec.fastLimit = 512 << 10 // the paper's 512MB, scaled
-	ec.dynamic = true
 	e, err := newTUEngine(ec, "TU")
 	if err != nil {
 		return nil, err

@@ -50,8 +50,8 @@ type ChunkStore interface {
 
 // Options configures a DB.
 type Options struct {
-	// Dir is the local directory for the WAL and mmap files. Empty means
-	// ephemeral: no WAL, heap-backed arrays.
+	// Dir is the local directory for the WAL and mmap files: a DB with a
+	// Dir always logs. Empty means ephemeral: no WAL, heap-backed arrays.
 	Dir string
 	// Fast and Slow are the two storage tiers. Slow may equal Fast for
 	// the EBS-only configuration (Figure 17).
@@ -69,24 +69,23 @@ type Options struct {
 	SlotSize int
 
 	// LSM geometry; zero values take the lsm package defaults.
-	MemTableSize              int64
-	L0PartitionLength         int64
-	L2PartitionLength         int64
-	PartitionLengthLowerBound int64
-	MaxL0Partitions           int
-	PatchThreshold            int
-	TargetTableSize           int
-	BlockSize                 int
-	FastLimit                 int64
-	DynamicSizing             bool
+	MemTableSize      int64
+	L0PartitionLength int64
+	L2PartitionLength int64
+	MaxL0Partitions   int
+	PatchThreshold    int
+	TargetTableSize   int
+	BlockSize         int
+	// FastLimit is the fast-store budget ST. A budget > 0 runs Algorithm 1
+	// (dynamic size control, §3.3): after every flush and compaction the
+	// tree halves or doubles its partition lengths to keep levels 0-1
+	// near the budget. 0 means unlimited, and the lengths stay fixed.
+	FastLimit int64
 	// CompactionWorkers bounds the LSM compaction executor pool (0 = the
 	// lsm package default of 2). Disjoint-partition compactions run
 	// concurrently up to this many.
 	CompactionWorkers int
 
-	// DisableWAL turns off logging (benchmark configurations that measure
-	// pure engine throughput).
-	DisableWAL bool
 	// WALSegmentSize bounds each WAL sample segment file (0 = the wal
 	// package default). Small values force frequent rolls, exercising the
 	// roll/purge path (crash-recovery tests).
@@ -111,12 +110,10 @@ type Options struct {
 	DisableMetrics bool
 
 	// Journal overrides the operational event journal (DESIGN.md §4.12).
-	// Nil means the DB creates its own, retrievable via Journal(); set
-	// DisableJournal to run without one.
+	// Nil means the DB creates its own ring of obs.DefaultJournalCapacity
+	// events, retrievable via Journal(); set DisableJournal to run
+	// without one.
 	Journal *obs.Journal
-	// JournalCapacity sizes the DB-created journal ring
-	// (0 = obs.DefaultJournalCapacity). Ignored when Journal is set.
-	JournalCapacity int
 	// DisableJournal turns off the operational event journal.
 	DisableJournal bool
 }
@@ -147,8 +144,10 @@ type DB struct {
 	catCRC uint32
 }
 
-// Open creates or recovers a database.
-func Open(opts Options) (*DB, error) {
+// newDB checks the stores and builds what Open and OpenReplica share:
+// the block cache (1 GB when CacheBytes is 0), the metrics registry, the
+// journal and the DB-level gauges.
+func newDB(opts Options, replica bool) (*DB, error) {
 	if opts.Fast == nil || opts.Slow == nil {
 		return nil, fmt.Errorf("core: Fast and Slow stores are required")
 	}
@@ -156,31 +155,38 @@ func Open(opts Options) (*DB, error) {
 		opts.CacheBytes = 1 << 30
 	}
 	reg := opts.Metrics
-	if reg == nil && !opts.DisableMetrics {
-		reg = obs.NewRegistry()
-	}
 	if opts.DisableMetrics {
 		reg = nil
+	} else if reg == nil {
+		reg = obs.NewRegistry()
 	}
 	journal := opts.Journal
-	if journal == nil && !opts.DisableJournal {
-		journal = obs.NewJournal(opts.JournalCapacity)
-	}
 	if opts.DisableJournal {
 		journal = nil
+	} else if journal == nil {
+		journal = obs.NewJournal(obs.DefaultJournalCapacity)
 	}
-	openStart := time.Now()
-	db := &DB{opts: opts, cache: cloud.NewLRUCache(opts.CacheBytes), metrics: reg, journal: journal}
+	db := &DB{opts: opts, cache: cloud.NewLRUCache(opts.CacheBytes), metrics: reg, journal: journal, replica: replica}
 	db.m = newDBMetrics(reg)
 	db.registerDBGauges(reg)
 	if reg != nil {
 		journal.RegisterMetrics(reg)
 		obs.RegisterProcessMetrics(reg)
 	}
+	return db, nil
+}
+
+// Open creates or recovers a database.
+func Open(opts Options) (*DB, error) {
+	openStart := time.Now()
+	db, err := newDB(opts, false)
+	if err != nil {
+		return nil, err
+	}
+	reg, journal := db.metrics, db.journal
 
 	var w *wal.WAL
-	if opts.Dir != "" && !opts.DisableWAL {
-		var err error
+	if opts.Dir != "" {
 		w, err = wal.Open(opts.Dir+"/wal", wal.Options{SegmentSize: opts.WALSegmentSize, Metrics: reg, Journal: journal})
 		if err != nil {
 			return nil, err
@@ -195,22 +201,20 @@ func Open(opts Options) (*DB, error) {
 		db.store = opts.Store
 	} else {
 		tree, err := lsm.Open(lsm.Options{
-			Fast:                      opts.Fast,
-			Slow:                      opts.Slow,
-			Cache:                     db.cache,
-			MemTableSize:              opts.MemTableSize,
-			L0PartitionLength:         opts.L0PartitionLength,
-			L2PartitionLength:         opts.L2PartitionLength,
-			PartitionLengthLowerBound: opts.PartitionLengthLowerBound,
-			MaxL0Partitions:           opts.MaxL0Partitions,
-			PatchThreshold:            opts.PatchThreshold,
-			TargetTableSize:           opts.TargetTableSize,
-			BlockSize:                 opts.BlockSize,
-			FastLimit:                 opts.FastLimit,
-			DynamicSizing:             opts.DynamicSizing,
-			CompactionWorkers:         opts.CompactionWorkers,
-			Metrics:                   reg,
-			Journal:                   journal,
+			Fast:              opts.Fast,
+			Slow:              opts.Slow,
+			Cache:             db.cache,
+			MemTableSize:      opts.MemTableSize,
+			L0PartitionLength: opts.L0PartitionLength,
+			L2PartitionLength: opts.L2PartitionLength,
+			MaxL0Partitions:   opts.MaxL0Partitions,
+			PatchThreshold:    opts.PatchThreshold,
+			TargetTableSize:   opts.TargetTableSize,
+			BlockSize:         opts.BlockSize,
+			FastLimit:         opts.FastLimit,
+			CompactionWorkers: opts.CompactionWorkers,
+			Metrics:           reg,
+			Journal:           journal,
 			OnFlush: func(marks []wal.FlushMark) {
 				if h != nil {
 					h.OnFlush(marks)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 	"time"
 
@@ -86,6 +85,10 @@ func TestEndToEndSeries(t *testing.T) {
 	}
 	if st.SlowBytes == 0 {
 		t.Fatal("no bytes on slow tier")
+	}
+	// An ephemeral DB (Dir "") has no WAL, so purging it is a no-op.
+	if n, err := db.PurgeWAL(); err != nil || n != 0 {
+		t.Fatalf("PurgeWAL without a WAL = %d, %v", n, err)
 	}
 
 	// Query one series over the whole span.
@@ -680,25 +683,5 @@ func TestGroupOracleWithPartialRounds(t *testing.T) {
 				t.Fatalf("member %d at %d: got %v want %v", m, p.T, p.V, want[p.T])
 			}
 		}
-	}
-}
-
-func TestDisableWAL(t *testing.T) {
-	dir := t.TempDir()
-	opts := testOpts(dir)
-	opts.DisableWAL = true
-	db := openTestDB(t, opts)
-	if _, err := db.Append(labels.FromStrings("m", "x"), 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if db.wal != nil {
-		t.Fatal("WAL created despite DisableWAL")
-	}
-	if _, err := os.Stat(dir + "/wal"); !os.IsNotExist(err) {
-		t.Fatal("WAL directory exists despite DisableWAL")
-	}
-	// PurgeWAL and retention still work as no-ops.
-	if n, err := db.PurgeWAL(); err != nil || n != 0 {
-		t.Fatalf("PurgeWAL = %d, %v", n, err)
 	}
 }

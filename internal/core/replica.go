@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"time"
 
-	"timeunion/internal/cloud"
 	"timeunion/internal/encoding"
 	"timeunion/internal/head"
 	"timeunion/internal/lsm"
-	"timeunion/internal/obs"
 )
 
 // ErrReadOnly is returned by every mutating entry point of a DB opened
@@ -28,38 +26,18 @@ const defaultReplicaRefresh = time.Second
 // Every mutating method returns ErrReadOnly. Replicas never write to the
 // shared stores, so any number of them can run against one writer.
 func OpenReplica(opts Options) (*DB, error) {
-	if opts.Fast == nil || opts.Slow == nil {
-		return nil, fmt.Errorf("core: Fast and Slow stores are required")
-	}
 	if opts.Store != nil {
 		return nil, fmt.Errorf("core: OpenReplica requires the LSM store (no Store override)")
 	}
-	if opts.CacheBytes == 0 {
-		opts.CacheBytes = 1 << 30
-	}
-	reg := opts.Metrics
-	if reg == nil && !opts.DisableMetrics {
-		reg = obs.NewRegistry()
-	}
-	if opts.DisableMetrics {
-		reg = nil
-	}
-	journal := opts.Journal
-	if journal == nil && !opts.DisableJournal {
-		journal = obs.NewJournal(opts.JournalCapacity)
-	}
-	if opts.DisableJournal {
-		journal = nil
-	}
 	openStart := time.Now()
-	db := &DB{opts: opts, cache: cloud.NewLRUCache(opts.CacheBytes), metrics: reg, journal: journal, replica: true}
-	db.m = newDBMetrics(reg)
-	db.registerDBGauges(reg)
-	if reg != nil {
-		journal.RegisterMetrics(reg)
-		obs.RegisterProcessMetrics(reg)
+	db, err := newDB(opts, true)
+	if err != nil {
+		return nil, err
 	}
+	reg, journal := db.metrics, db.journal
 
+	// The tree never polls: the loop below refreshes the catalog, then
+	// the view, in one beat.
 	tree, err := lsm.Open(lsm.Options{
 		Fast:      opts.Fast,
 		Slow:      opts.Slow,
@@ -68,9 +46,6 @@ func OpenReplica(opts Options) (*DB, error) {
 		ReadOnly:  true,
 		Metrics:   reg,
 		Journal:   journal,
-		// Core drives both refreshes (catalog first, then view) from one
-		// loop, so the tree's own loop stays off.
-		RefreshInterval: 0,
 	})
 	if err != nil {
 		return nil, err

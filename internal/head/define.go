@@ -5,13 +5,17 @@ import (
 	"timeunion/internal/labels"
 )
 
-// This file implements direct catalog definition: installing a
-// series/group/member with a caller-assigned ID, without WAL logging or
-// ID allocation. Two callers share it — WAL replay (recover.go), which
-// re-installs the definitions the log recorded, and a read replica's
-// catalog refresh (core), which installs the definitions the writer
-// published to shared storage. All three methods are idempotent: an
-// already-known ID is a no-op, so refresh can re-apply a whole catalog.
+// This file implements catalog definition: installing a series, group or
+// member under a known ID. The Define* methods install a caller-assigned
+// ID without WAL logging or ID allocation. Two callers share them — WAL
+// replay (recover.go), which re-installs the definitions the log recorded,
+// and a read replica's catalog refresh (core), which installs the
+// definitions the writer published to shared storage. All three are
+// idempotent: an already-known ID is a no-op, so refresh can re-apply a
+// whole catalog. The append path's creators (getOrCreateSeries,
+// getOrCreateGroup, getOrCreateMemberLocked) allocate an ID, log it, and
+// install it through the same install*Locked code, so a definition whose
+// log fails installs nothing.
 
 // DefineSeries installs a series definition under an explicit ID. The ID
 // allocator advances past it so a later local allocation cannot collide.
@@ -21,9 +25,16 @@ func (h *Head) DefineSeries(id uint64, ls labels.Labels) error {
 	if _, ok := h.lookupSeries(id); ok {
 		return nil
 	}
+	_, err := h.installSeriesLocked(id, ls)
+	return err
+}
+
+// installSeriesLocked indexes a series and publishes it in its stripe and
+// the catalog. The caller holds h.cat.mu.
+func (h *Head) installSeriesLocked(id uint64, ls labels.Labels) (*MemSeries, error) {
 	s := &MemSeries{ID: id, Labels: h.strs.Intern(ls)}
 	if err := h.idx.Add(id, s.Labels); err != nil {
-		return err
+		return nil, err
 	}
 	st := h.stripeFor(id)
 	st.mu.Lock()
@@ -33,7 +44,7 @@ func (h *Head) DefineSeries(id uint64, ls labels.Labels) error {
 	if id > h.cat.nextSeries {
 		h.cat.nextSeries = id
 	}
-	return nil
+	return s, nil
 }
 
 // DefineGroup installs a group definition under an explicit group ID
@@ -44,13 +55,21 @@ func (h *Head) DefineGroup(gid uint64, groupTags labels.Labels) error {
 	if _, ok := h.lookupGroup(gid); ok {
 		return nil
 	}
+	_, err := h.installGroupLocked(gid, groupTags)
+	return err
+}
+
+// installGroupLocked indexes a group and publishes it in its stripe and
+// the catalog. The caller holds h.cat.mu.
+func (h *Head) installGroupLocked(gid uint64, groupTags labels.Labels) (*MemGroup, error) {
 	g := &MemGroup{
 		GID:         gid,
 		GroupTags:   h.strs.Intern(groupTags),
 		memberByKey: make(map[string]int),
 	}
+	// The group ID is the postings ID for all of the group's tags (§3.1).
 	if err := h.idx.Add(gid, g.GroupTags); err != nil {
-		return err
+		return nil, err
 	}
 	st := h.stripeFor(gid)
 	st.mu.Lock()
@@ -60,7 +79,7 @@ func (h *Head) DefineGroup(gid uint64, groupTags labels.Labels) error {
 	if n := gid &^ index.GroupIDFlag; n > h.cat.nextGroup {
 		h.cat.nextGroup = n
 	}
-	return nil
+	return g, nil
 }
 
 // DefineGroupMember installs one member slot of an existing group. It
@@ -78,12 +97,21 @@ func (h *Head) DefineGroupMember(gid uint64, slot uint32, unique labels.Labels) 
 		g.members = append(g.members, groupMember{})
 	}
 	if int(slot) == len(g.members) {
-		unique = h.strs.Intern(unique)
-		g.members = append(g.members, groupMember{unique: unique})
-		g.memberByKey[unique.Key()] = int(slot)
-		return true, h.idx.Add(gid, unique)
+		_, err := h.installMemberLocked(g, unique)
+		return true, err
 	}
 	return true, nil // already known
+}
+
+// installMemberLocked appends a member at the next slot and indexes its
+// unique tags. The caller holds g.mu.
+func (h *Head) installMemberLocked(g *MemGroup, unique labels.Labels) (int, error) {
+	slot := len(g.members)
+	unique = h.strs.Intern(unique)
+	g.members = append(g.members, groupMember{unique: unique})
+	g.memberByKey[unique.Key()] = slot
+	// Unique tags also point at the group ID in the second-level index.
+	return slot, h.idx.Add(g.GID, unique)
 }
 
 // CatalogDef is one exported catalog record, in definition-dependency

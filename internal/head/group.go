@@ -130,49 +130,26 @@ func (h *Head) getOrCreateGroup(groupTags labels.Labels) (*MemGroup, error) {
 	}
 	h.cat.nextGroup++
 	gid = index.GroupIDFlag | h.cat.nextGroup
-	g := &MemGroup{
-		GID:         gid,
-		GroupTags:   h.strs.Intern(groupTags),
-		memberByKey: make(map[string]int),
-	}
-	// The group ID is the postings ID for all of the group's tags (§3.1).
-	if err := h.idx.Add(gid, g.GroupTags); err != nil {
-		return nil, err
-	}
 	if h.opts.WAL != nil {
-		if err := h.opts.WAL.LogGroup(gid, g.GroupTags); err != nil {
+		if err := h.opts.WAL.LogGroup(gid, groupTags); err != nil {
 			return nil, err
 		}
 	}
-	st := h.stripeFor(gid)
-	st.mu.Lock()
-	st.groups[gid] = g
-	st.mu.Unlock()
-	h.cat.groupByKey[key] = gid
-	return g, nil
+	return h.installGroupLocked(gid, groupTags)
 }
 
 // getOrCreateMemberLocked finds or appends a member slot. The caller holds
 // g.mu; the index and WAL are internally synchronized.
 func (h *Head) getOrCreateMemberLocked(g *MemGroup, unique labels.Labels) (int, error) {
-	key := unique.Key()
-	if slot, ok := g.memberByKey[key]; ok {
+	if slot, ok := g.memberByKey[unique.Key()]; ok {
 		return slot, nil
 	}
-	slot := len(g.members)
-	unique = h.strs.Intern(unique)
-	g.members = append(g.members, groupMember{unique: unique})
-	g.memberByKey[key] = slot
-	// Unique tags also point at the group ID in the second-level index.
-	if err := h.idx.Add(g.GID, unique); err != nil {
-		return 0, err
-	}
 	if h.opts.WAL != nil {
-		if err := h.opts.WAL.LogGroupMember(g.GID, uint32(slot), unique); err != nil {
+		if err := h.opts.WAL.LogGroupMember(g.GID, uint32(len(g.members)), unique); err != nil {
 			return 0, err
 		}
 	}
-	return slot, nil
+	return h.installMemberLocked(g, unique)
 }
 
 // appendGroupLocked logs (or, when staged, stages in the pending WAL

@@ -320,21 +320,12 @@ func (h *Head) getOrCreateSeries(ls labels.Labels) (*MemSeries, error) {
 	}
 	h.cat.nextSeries++
 	id = h.cat.nextSeries
-	s := &MemSeries{ID: id, Labels: h.strs.Intern(ls)}
-	if err := h.idx.Add(id, s.Labels); err != nil {
-		return nil, err
-	}
 	if h.opts.WAL != nil {
-		if err := h.opts.WAL.LogSeries(id, s.Labels); err != nil {
+		if err := h.opts.WAL.LogSeries(id, ls); err != nil {
 			return nil, err
 		}
 	}
-	st := h.stripeFor(id)
-	st.mu.Lock()
-	st.series[id] = s
-	st.mu.Unlock()
-	h.cat.byKey[key] = id
-	return s, nil
+	return h.installSeriesLocked(id, ls)
 }
 
 // appendLocked is the individual-series write path (§3.1 physical view):

@@ -469,6 +469,46 @@ func TestWALRecovery(t *testing.T) {
 	}
 }
 
+// TestFailedCatalogLogInstallsNothing closes the WAL under a live head:
+// every definition the head then tries to create fails to log, and none
+// may be indexed or published, since recovery would never know it.
+func TestFailedCatalogLogInstallsNothing(t *testing.T) {
+	w, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, _ := newTestHead(t, w)
+	gTags := labels.FromStrings("hostname", "host_0")
+	if _, _, err := h.AppendGroup(gTags, []labels.Labels{labels.FromStrings("m", "a")}, 1, []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := h.Append(labels.FromStrings("metric", "cpu"), 1, 1); err == nil {
+		t.Fatal("series created with a closed WAL")
+	}
+	if _, _, err := h.AppendGroup(labels.FromStrings("hostname", "host_1"), []labels.Labels{labels.FromStrings("m", "a")}, 1, []float64{1}); err == nil {
+		t.Fatal("group created with a closed WAL")
+	}
+	if _, _, err := h.AppendGroup(gTags, []labels.Labels{labels.FromStrings("m", "b")}, 2, []float64{2}); err == nil {
+		t.Fatal("member created with a closed WAL")
+	}
+	if h.NumSeries() != 0 || h.NumGroups() != 1 {
+		t.Fatalf("%d series, %d groups after failed definitions", h.NumSeries(), h.NumGroups())
+	}
+	for _, m := range []*labels.Matcher{
+		labels.MustEqual("metric", "cpu"),
+		labels.MustEqual("hostname", "host_1"),
+		labels.MustEqual("m", "b"),
+	} {
+		if got, err := h.Index().Select(m); err != nil || len(got) != 0 {
+			t.Fatalf("index select %v = %v, %v: a failed definition left a posting", m, got, err)
+		}
+	}
+}
+
 func TestRecoverySkipsFlushedSamples(t *testing.T) {
 	dir := t.TempDir()
 	w, err := wal.Open(dir, wal.Options{})

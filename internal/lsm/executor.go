@@ -58,7 +58,7 @@ type jobResult struct {
 // into the job queue. Caller holds l.mu. Idempotent: partitions claimed by
 // a scheduled job are busy-marked, so re-running it never double-schedules.
 func (l *LSM) scheduleLocked() {
-	if l.closed || l.bgErr != nil || l.opts.CompactionWorkers <= 0 {
+	if l.closed || l.bgErr != nil {
 		return
 	}
 	for {
@@ -324,9 +324,7 @@ func (l *LSM) compactionWorker(worker int) {
 		if err != nil && l.bgErr == nil {
 			l.bgErr = err
 		}
-		if l.opts.DynamicSizing {
-			l.adjustPartitionLengthsLocked()
-		}
+		l.adjustPartitionLengthsLocked()
 		l.scheduleLocked()
 		l.idleCond.Broadcast()
 	}

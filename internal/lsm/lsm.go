@@ -40,6 +40,11 @@ import (
 	"timeunion/internal/wal"
 )
 
+// maxImmQueue bounds the immutable memtable queue: Put blocks while it is
+// full, so a flush that falls behind applies back-pressure instead of
+// growing memory without bound.
+const maxImmQueue = 4
+
 // Options configures the tree. Times are in the same unit as sample
 // timestamps (milliseconds in the TSBS workloads).
 type Options struct {
@@ -55,9 +60,6 @@ type Options struct {
 	// MemTableSize rotates the active memtable when its payload exceeds
 	// this size (LevelDB uses 64 MB; scaled runs use less).
 	MemTableSize int64
-	// MaxImmQueue bounds the immutable memtable queue; Put blocks when
-	// the queue is full (back-pressure instead of unbounded memory).
-	MaxImmQueue int
 
 	// L0PartitionLength is the initial L0/L1 time partition length R1.
 	L0PartitionLength int64
@@ -75,10 +77,10 @@ type Options struct {
 	// BlockSize is the SSTable data block size (default 4 KB).
 	BlockSize int
 
-	// FastLimit is the fast-store usage budget ST (0 = unlimited).
+	// FastLimit is the fast-store usage budget ST. A budget > 0 runs
+	// Algorithm 1 after every flush and compaction; 0 means unlimited, and
+	// the partition lengths stay fixed.
 	FastLimit int64
-	// DynamicSizing enables Algorithm 1.
-	DynamicSizing bool
 
 	// CompactionWorkers sizes the executor pool running compaction jobs
 	// (default 2). Jobs over disjoint time intervals run concurrently,
@@ -89,13 +91,10 @@ type Options struct {
 	// or compaction workers, no writer-side recovery (quarantine, GC,
 	// fresh manifest commit), and every mutating operation returns
 	// ErrReadOnly. The view is loaded from the newest committed manifest
-	// pair and advanced by Refresh (DESIGN.md §4.13).
+	// pair and advanced by Refresh, which the caller drives: the database
+	// layer polls, so it can reload the series catalog in the same beat
+	// (DESIGN.md §4.13).
 	ReadOnly bool
-	// RefreshInterval, when > 0 on a ReadOnly tree, runs a background
-	// loop polling the manifests and swapping the view. Zero means the
-	// caller drives Refresh itself (the database layer does, so it can
-	// reload the series catalog in the same beat).
-	RefreshInterval time.Duration
 
 	// OnFlush, if set, is called once per flush to level 0, after its
 	// manifest commit, with one mark per flushed series or group: the
@@ -118,9 +117,6 @@ func (o *Options) withDefaults() Options {
 	opts := *o
 	if opts.MemTableSize <= 0 {
 		opts.MemTableSize = 4 << 20
-	}
-	if opts.MaxImmQueue <= 0 {
-		opts.MaxImmQueue = 4
 	}
 	if opts.L0PartitionLength <= 0 {
 		opts.L0PartitionLength = 30 * 60 * 1000 // 30 minutes
@@ -302,8 +298,7 @@ type LSM struct {
 
 	// Replica state (ReadOnly mode only). refreshMu serializes view swaps
 	// and is acquired before l.mu, mirroring manifestMu on the writer side.
-	refreshMu   sync.Mutex
-	refreshStop chan struct{}
+	refreshMu sync.Mutex
 
 	// Executor state, all under l.mu.
 	jobs       []*compactionJob
@@ -351,11 +346,6 @@ func Open(opts Options) (*LSM, error) {
 		l.registerMetrics(o.Metrics)
 		if _, err := l.Refresh(); err != nil {
 			return nil, err
-		}
-		if o.RefreshInterval > 0 {
-			l.refreshStop = make(chan struct{})
-			l.workerWg.Add(1)
-			go l.refreshLoop(o.RefreshInterval)
 		}
 		return l, nil
 	}
@@ -442,7 +432,7 @@ func (l *LSM) Put(key encoding.Key, value []byte) error {
 		return ErrReadOnly
 	}
 	l.mu.Lock()
-	for len(l.imm) >= l.opts.MaxImmQueue && l.bgErr == nil && !l.closed {
+	for len(l.imm) >= maxImmQueue && l.bgErr == nil && !l.closed {
 		// Back-pressure: wait for the worker to drain the queue.
 		l.idleCond.Wait()
 	}
@@ -568,10 +558,6 @@ func (l *LSM) Close() error {
 	if l.opts.ReadOnly {
 		l.closed = true
 		l.mu.Unlock()
-		if l.refreshStop != nil {
-			close(l.refreshStop)
-		}
-		l.workerWg.Wait()
 		return nil
 	}
 	l.rotateLocked()
@@ -622,9 +608,7 @@ func (l *LSM) flushLoop() {
 		if flushErr != nil && l.bgErr == nil {
 			l.bgErr = flushErr
 		}
-		if l.opts.DynamicSizing {
-			l.adjustPartitionLengthsLocked()
-		}
+		l.adjustPartitionLengthsLocked()
 		l.scheduleLocked()
 		l.idleCond.Broadcast()
 		if flushErr != nil {

@@ -348,31 +348,49 @@ func TestRetention(t *testing.T) {
 	}
 }
 
+// TestDynamicSizingShrinks runs the same dense data with and without a
+// fast-store budget. The budget alone decides whether Algorithm 1 runs:
+// without one R1 never changes, with a tiny one it shrinks.
 func TestDynamicSizingShrinks(t *testing.T) {
-	opts := smallOpts()
-	opts.FastLimit = 1 << 10 // tiny budget
-	opts.DynamicSizing = true
-	env := newEnv(t, opts)
-	fillSequential(t, env.l, []uint64{1, 2, 3, 4}, 60, 0, 50)
-	if err := env.l.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if env.l.Stats().ResizeShrinks == 0 {
-		t.Fatal("no shrink resize under budget pressure")
-	}
-	r1After, r2After := env.l.PartitionLengths()
-	if r1After < opts.PartitionLengthLowerBound {
-		t.Fatalf("R1 below lower bound: %d", r1After)
-	}
-	if r2After < r1After {
-		t.Fatalf("R2 < R1: %d < %d", r2After, r1After)
+	for _, tc := range []struct {
+		name      string
+		fastLimit int64
+	}{
+		{"unlimited", 0},
+		{"tiny budget", 1 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := smallOpts()
+			opts.FastLimit = tc.fastLimit
+			env := newEnv(t, opts)
+			fillSequential(t, env.l, []uint64{1, 2, 3, 4}, 60, 0, 50)
+			if err := env.l.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			st := env.l.Stats()
+			r1After, r2After := env.l.PartitionLengths()
+			if tc.fastLimit == 0 {
+				if st.ResizeShrinks+st.ResizeGrows != 0 || r1After != opts.L0PartitionLength {
+					t.Fatalf("unlimited budget resized: %d shrinks, %d grows, R1=%d", st.ResizeShrinks, st.ResizeGrows, r1After)
+				}
+				return
+			}
+			if st.ResizeShrinks == 0 || r1After >= opts.L0PartitionLength {
+				t.Fatalf("no shrink under budget pressure (R1=%d)", r1After)
+			}
+			if r1After < opts.PartitionLengthLowerBound {
+				t.Fatalf("R1 below lower bound: %d", r1After)
+			}
+			if r2After < r1After {
+				t.Fatalf("R2 < R1: %d < %d", r2After, r1After)
+			}
+		})
 	}
 }
 
 func TestDynamicSizingGrows(t *testing.T) {
 	opts := smallOpts()
 	opts.FastLimit = 64 << 20 // huge budget, sparse data
-	opts.DynamicSizing = true
 	env := newEnv(t, opts)
 	fillSequential(t, env.l, []uint64{1}, 60, 0, 50)
 	if err := env.l.Flush(); err != nil {

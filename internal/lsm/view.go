@@ -381,21 +381,3 @@ func (l *LSM) tryRefresh() (refreshResult, error) {
 	res.tablesSlow = len(slowKeys)
 	return res, nil
 }
-
-// refreshLoop is the replica's background worker: poll the manifests every
-// interval and swap the view when the writer committed. Errors (including
-// an exhausted prune-race retry) keep the previous view installed and are
-// journaled by Refresh; the next tick tries again.
-func (l *LSM) refreshLoop(interval time.Duration) {
-	defer l.workerWg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.refreshStop:
-			return
-		case <-t.C:
-			_, _ = l.Refresh()
-		}
-	}
-}
