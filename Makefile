@@ -4,12 +4,14 @@ GO ?= go
 
 # tier1 is the gate every change must keep green: full build + full test run
 # (go test ./... includes TestNoIgnoredDiagnostics, the in-process tulint
-# gate) + one iteration of the append and WAL-record benchmarks (WAL off and
-# on), so they cannot break unnoticed + the standalone invariant suite.
+# gate) + one iteration of the append and WAL-record benchmarks and of the
+# DB-level parallel append benchmark (WAL off and on), so they cannot break
+# unnoticed + the standalone invariant suite.
 tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench 'AppendFast|AppendGroupFast|CommitBatch' -benchtime 1x ./internal/head ./internal/wal
+	$(GO) test -run '^$$' -bench 'AppendFastParallel' -benchtime 1x .
 	$(MAKE) lint
 
 # tier1-faults is the crash-safety gate: vet plus 50 randomized

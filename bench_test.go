@@ -224,19 +224,32 @@ func BenchmarkQueryParallel(b *testing.B) {
 
 // BenchmarkAppendFastParallel compares a serial fast-path append loop
 // against 8 goroutines appending to disjoint series sets on one DB — the
-// workload the striped head locks exist for.
+// workload the striped head locks exist for — with the WAL off (nowal) and
+// on (wal, in a temporary directory).
 func BenchmarkAppendFastParallel(b *testing.B) {
+	for _, mode := range []string{"nowal", "wal"} {
+		b.Run(mode, func(b *testing.B) {
+			opts := core.Options{
+				Fast:         disabledFaultStore(cloud.NewMemStore(cloud.TierBlock, cloud.EBSModel(0))),
+				Slow:         disabledFaultStore(cloud.NewMemStore(cloud.TierObject, cloud.S3Model(0))),
+				ChunkSamples: 32,
+				MemTableSize: 4 << 20,
+			}
+			if mode == "wal" {
+				opts.Dir = b.TempDir()
+			}
+			benchAppendFastParallel(b, opts)
+		})
+	}
+}
+
+func benchAppendFastParallel(b *testing.B, opts core.Options) {
 	const (
 		goroutines    = 8
 		seriesPerGoro = 32
 		perIter       = goroutines * seriesPerGoro // samples per benchmark iteration
 	)
-	db, err := core.Open(core.Options{
-		Fast:         disabledFaultStore(cloud.NewMemStore(cloud.TierBlock, cloud.EBSModel(0))),
-		Slow:         disabledFaultStore(cloud.NewMemStore(cloud.TierObject, cloud.S3Model(0))),
-		ChunkSamples: 32,
-		MemTableSize: 4 << 20,
-	})
+	db, err := core.Open(opts)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"timeunion/internal/tsbs"
@@ -52,6 +53,9 @@ func runEngineEval(cfg Config, o engineEvalOptions) (*Report, error) {
 		if traceEvery == 0 {
 			traceEvery = 1
 		}
+		// Collect what the previous engine left behind, so this engine's
+		// insert phase does not pay for its garbage.
+		runtime.GC()
 		elapsed, err := e.stores().measure(func() error {
 			for round := 0; round < rounds; round++ {
 				t, vals := gen.Round()

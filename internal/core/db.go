@@ -350,73 +350,51 @@ func (db *DB) Close() error {
 
 // Append inserts one sample by full tag set and returns the series ID for
 // fast-path use (§3.4 Put(Timeseries), first API).
-func (db *DB) Append(ls labels.Labels, t int64, v float64) (uint64, error) {
-	if db.replica {
-		return 0, ErrReadOnly
-	}
-	db.maxT.observe(t)
-	if m := db.m; m != nil {
-		if m.appends.Add(uint64(t), 1)&appendSampleMask == 0 {
-			start := time.Now()
-			id, err := db.head.Append(ls, t, v)
-			m.appendLat.Observe(time.Since(start))
-			return id, err
-		}
-	}
-	return db.head.Append(ls, t, v)
+func (db *DB) Append(ls labels.Labels, t int64, v float64) (id uint64, err error) {
+	err = db.appendOne(uint64(t), t, 1, func() (err error) {
+		id, err = db.head.Append(ls, t, v)
+		return err
+	})
+	return id, err
 }
 
 // AppendFast inserts one sample by series ID (§3.4, second API).
 func (db *DB) AppendFast(id uint64, t int64, v float64) error {
-	if db.replica {
-		return ErrReadOnly
-	}
-	db.maxT.observe(t)
-	if m := db.m; m != nil {
-		if m.appends.Add(id, 1)&appendSampleMask == 0 {
-			start := time.Now()
-			err := db.head.AppendFast(id, t, v)
-			m.appendLat.Observe(time.Since(start))
-			return err
-		}
-	}
-	return db.head.AppendFast(id, t, v)
+	return db.appendOne(id, t, 1, func() error { return db.head.AppendFast(id, t, v) })
 }
 
 // AppendGroup inserts one shared-timestamp round into a group (§3.4
 // Put(Group), first API). uniqueTags[i] are each member's non-shared tags.
-func (db *DB) AppendGroup(groupTags labels.Labels, uniqueTags []labels.Labels, t int64, vals []float64) (uint64, []int, error) {
-	if db.replica {
-		return 0, nil, ErrReadOnly
-	}
-	db.maxT.observe(t)
-	if m := db.m; m != nil {
-		if m.appends.Add(uint64(t), uint64(len(vals)))&appendSampleMask == 0 {
-			start := time.Now()
-			gid, slots, err := db.head.AppendGroup(groupTags, uniqueTags, t, vals)
-			m.appendLat.Observe(time.Since(start))
-			return gid, slots, err
-		}
-	}
-	return db.head.AppendGroup(groupTags, uniqueTags, t, vals)
+func (db *DB) AppendGroup(groupTags labels.Labels, uniqueTags []labels.Labels, t int64, vals []float64) (gid uint64, slots []int, err error) {
+	err = db.appendOne(uint64(t), t, len(vals), func() (err error) {
+		gid, slots, err = db.head.AppendGroup(groupTags, uniqueTags, t, vals)
+		return err
+	})
+	return gid, slots, err
 }
 
 // AppendGroupFast inserts one round by group ID and slot indexes (§3.4,
 // second API).
 func (db *DB) AppendGroupFast(gid uint64, slots []int, t int64, vals []float64) error {
+	return db.appendOne(gid, t, len(vals), func() error { return db.head.AppendGroupFast(gid, slots, t, vals) })
+}
+
+// appendOne is the bookkeeping of the single-call appends around apply:
+// the read-only refusal, maxT, the append counter sharded by key (n
+// samples), and the latency of one call in appendSampleMask+1.
+func (db *DB) appendOne(key uint64, t int64, n int, apply func() error) error {
 	if db.replica {
 		return ErrReadOnly
 	}
 	db.maxT.observe(t)
-	if m := db.m; m != nil {
-		if m.appends.Add(gid, uint64(len(vals)))&appendSampleMask == 0 {
-			start := time.Now()
-			err := db.head.AppendGroupFast(gid, slots, t, vals)
-			m.appendLat.Observe(time.Since(start))
-			return err
-		}
+	m := db.m
+	if m == nil || m.appends.Add(key, uint64(n))&appendSampleMask != 0 {
+		return apply()
 	}
-	return db.head.AppendGroupFast(gid, slots, t, vals)
+	start := time.Now()
+	err := apply()
+	m.appendLat.Observe(time.Since(start))
+	return err
 }
 
 // Batch is one write request's samples: individual-series samples by ID

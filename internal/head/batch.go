@@ -95,66 +95,70 @@ func (h *Head) AppendBatch(b *Batch) (applied bool, err error) {
 	if err := h.resolveBatch(b); err != nil {
 		return false, err
 	}
-	err = h.applyBatch(b)
-	if w := h.opts.WAL; w != nil {
-		if cerr := w.Commit(); err == nil {
-			err = cerr
-		}
-	}
-	return true, err
+	return true, h.commit(h.applyBatch(b))
 }
 
 // resolveBatch is AppendBatch's validation phase.
 func (h *Head) resolveBatch(b *Batch) error {
 	b.series = b.series[:0]
 	for _, smp := range b.samples {
-		s, ok := h.lookupSeries(smp.id)
-		if !ok {
-			return fmt.Errorf("%w: unknown series id %d", ErrInvalidBatch, smp.id)
+		s, err := h.resolveSeries(smp.id)
+		if err != nil {
+			return err
 		}
 		b.series = append(b.series, s)
 	}
 	b.groups = b.groups[:0]
 	for _, r := range b.rounds {
-		if len(r.slots) != len(r.vals) {
-			return fmt.Errorf("%w: group %d: %d slots vs %d values", ErrInvalidBatch, r.gid, len(r.slots), len(r.vals))
-		}
-		g, ok := h.lookupGroup(r.gid)
-		if !ok {
-			return fmt.Errorf("%w: unknown group id %d", ErrInvalidBatch, r.gid)
-		}
-		// Members only grow, so a slot valid now stays valid for the
-		// apply phase.
-		g.mu.Lock()
-		members := len(g.members)
-		g.mu.Unlock()
-		for _, s := range r.slots {
-			if s < 0 || s >= members {
-				return fmt.Errorf("%w: group %d: slot %d out of range", ErrInvalidBatch, r.gid, s)
-			}
+		g, err := h.resolveGroup(r.gid, r.slots, r.vals)
+		if err != nil {
+			return err
 		}
 		b.groups = append(b.groups, g)
 	}
 	return nil
 }
 
+// resolveSeries validates one sample's series ID.
+func (h *Head) resolveSeries(id uint64) (*MemSeries, error) {
+	s, ok := h.lookupSeries(id)
+	if !ok {
+		return nil, fmt.Errorf("%w: unknown series id %d", ErrInvalidBatch, id)
+	}
+	return s, nil
+}
+
+// resolveGroup validates one round's group ID, slots and values.
+func (h *Head) resolveGroup(gid uint64, slots []int, vals []float64) (*MemGroup, error) {
+	if len(slots) != len(vals) {
+		return nil, fmt.Errorf("%w: group %d: %d slots vs %d values", ErrInvalidBatch, gid, len(slots), len(vals))
+	}
+	g, ok := h.lookupGroup(gid)
+	if !ok {
+		return nil, fmt.Errorf("%w: unknown group id %d", ErrInvalidBatch, gid)
+	}
+	// Members only grow, so a slot valid now stays valid for the apply
+	// phase.
+	g.mu.Lock()
+	members := len(g.members)
+	g.mu.Unlock()
+	for _, s := range slots {
+		if s < 0 || s >= members {
+			return nil, fmt.Errorf("%w: group %d: slot %d out of range", ErrInvalidBatch, gid, s)
+		}
+	}
+	return g, nil
+}
+
 // applyBatch is AppendBatch's apply phase; it stops at the first error.
 func (h *Head) applyBatch(b *Batch) error {
 	for i, smp := range b.samples {
-		s := b.series[i]
-		s.mu.Lock()
-		err := h.appendLocked(s, smp.t, smp.v, true)
-		s.mu.Unlock()
-		if err != nil {
+		if err := h.appendSeries(b.series[i], smp.t, smp.v); err != nil {
 			return err
 		}
 	}
 	for i, r := range b.rounds {
-		g := b.groups[i]
-		g.mu.Lock()
-		err := h.appendGroupLocked(g, r.t, r.slots, r.vals, true)
-		g.mu.Unlock()
-		if err != nil {
+		if err := h.appendRound(b.groups[i], r.t, r.slots, r.vals); err != nil {
 			return err
 		}
 	}

@@ -161,12 +161,32 @@ func TestAppendBatchAppliesAndRecovers(t *testing.T) {
 }
 
 // TestConcurrentBatchesKeepSeqOrder races batches and single-sample appends
-// on the same series: the log must hold every sample once, and per series
-// in sequence order, so replay in file order stays newest-seq-wins.
+// on the same series, some interleaved with a goroutine's batches and some
+// from goroutines of their own: the log must hold every sample once, and
+// per series in sequence order, so replay in file order stays
+// newest-seq-wins.
 func TestConcurrentBatchesKeepSeqOrder(t *testing.T) {
 	f := newBatchFixture(t)
-	const workers, rounds = 4, 200
+	const workers, fastWorkers, rounds = 4, 2, 200
 	var wg sync.WaitGroup
+	for w := 0; w < fastWorkers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				ts := int64(10 + r*fastWorkers + w)
+				if err := f.h.AppendFast(f.id1, ts, 3); err != nil {
+					t.Error(err)
+				}
+				if err := f.h.AppendFast(f.id2, ts, 3); err != nil {
+					t.Error(err)
+				}
+				if err := f.h.AppendGroupFast(f.gid, f.slots, ts, []float64{3, 3}); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -217,9 +237,9 @@ func TestConcurrentBatchesKeepSeqOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, want := range map[uint64]int{
-		f.id1: 1 + workers*rounds,
-		f.id2: 1 + workers*(rounds-rounds/3-1),
-		f.gid: 1 + workers*(rounds-rounds/3-1),
+		f.id1: 1 + workers*rounds + fastWorkers*rounds,
+		f.id2: 1 + workers*(rounds-rounds/3-1) + fastWorkers*rounds,
+		f.gid: 1 + workers*(rounds-rounds/3-1) + fastWorkers*rounds,
 	} {
 		if count[id] != want || last[id] != f.h.HeadSeq(id) {
 			t.Fatalf("id %d: replayed %d entries up to seq %d, want %d up to %d", id, count[id], last[id], want, f.h.HeadSeq(id))

@@ -66,39 +66,32 @@ func (h *Head) AppendGroup(groupTags labels.Labels, uniqueTags []labels.Labels, 
 		return 0, nil, err
 	}
 	g.mu.Lock()
-	defer g.mu.Unlock()
 	slots := make([]int, len(uniqueTags))
 	for i, ut := range uniqueTags {
-		slot, err := h.getOrCreateMemberLocked(g, ut)
-		if err != nil {
-			return 0, nil, err
+		if slots[i], err = h.getOrCreateMemberLocked(g, ut); err != nil {
+			break
 		}
-		slots[i] = slot
 	}
-	if err := h.appendGroupLocked(g, t, slots, vals, false); err != nil {
+	g.mu.Unlock()
+	// Members only grow, so the slots stay valid once g.mu is released.
+	if err == nil {
+		err = h.commit(h.appendRound(g, t, slots, vals))
+	}
+	if err != nil {
 		return 0, nil, err
 	}
 	return g.GID, slots, nil
 }
 
 // AppendGroupFast inserts one round by group ID and member slot indexes
-// (the fast-path group API of §3.4).
+// (the fast-path group API of §3.4): a batch of one, validated and logged
+// as AppendBatch does.
 func (h *Head) AppendGroupFast(gid uint64, slots []int, t int64, vals []float64) error {
-	if len(slots) != len(vals) {
-		return fmt.Errorf("head: group append: %d slots vs %d values", len(slots), len(vals))
+	g, err := h.resolveGroup(gid, slots, vals)
+	if err != nil {
+		return err
 	}
-	g, ok := h.lookupGroup(gid)
-	if !ok {
-		return fmt.Errorf("head: unknown group id %d", gid)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, s := range slots {
-		if s < 0 || s >= len(g.members) {
-			return fmt.Errorf("head: group %d: slot %d out of range", gid, s)
-		}
-	}
-	return h.appendGroupLocked(g, t, slots, vals, false)
+	return h.commit(h.appendRound(g, t, slots, vals))
 }
 
 // lookupGroup resolves a group id through its stripe.
@@ -152,22 +145,18 @@ func (h *Head) getOrCreateMemberLocked(g *MemGroup, unique labels.Labels) (int, 
 	return h.installMemberLocked(g, unique)
 }
 
-// appendGroupLocked logs (or, when staged, stages in the pending WAL
-// batch) and ingests one round. The caller holds g.mu.
-func (h *Head) appendGroupLocked(g *MemGroup, t int64, slots []int, vals []float64, staged bool) error {
+// appendRound is the group write path: under g.mu it stages one round in
+// the pending WAL record, which the caller commits, and ingests it.
+func (h *Head) appendRound(g *MemGroup, t int64, slots []int, vals []float64) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.seq++
 	if w := h.opts.WAL; w != nil {
 		g.walSlots = g.walSlots[:0]
 		for _, s := range slots {
 			g.walSlots = append(g.walSlots, uint32(s))
 		}
-		var err error
-		if staged {
-			err = w.StageGroupSample(g.GID, g.seq, t, g.walSlots, vals)
-		} else {
-			err = w.LogGroupSample(g.GID, g.seq, t, g.walSlots, vals)
-		}
-		if err != nil {
+		if err := w.StageGroupSample(g.GID, g.seq, t, g.walSlots, vals); err != nil {
 			return err
 		}
 	}

@@ -270,21 +270,30 @@ func (h *Head) Append(ls labels.Labels, t int64, v float64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ID, h.appendLocked(s, t, v, false)
+	return s.ID, h.commit(h.appendSeries(s, t, v))
 }
 
 // AppendFast inserts one sample by series ID (the fast-path API of §3.4,
-// saving the tag comparison cost).
+// saving the tag comparison cost): a batch of one, validated and logged as
+// AppendBatch does.
 func (h *Head) AppendFast(id uint64, t int64, v float64) error {
-	s, ok := h.lookupSeries(id)
-	if !ok {
-		return fmt.Errorf("head: unknown series id %d", id)
+	s, err := h.resolveSeries(id)
+	if err != nil {
+		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return h.appendLocked(s, t, v, false)
+	return h.commit(h.appendSeries(s, t, v))
+}
+
+// commit commits the staged WAL entries, the caller's among them, even
+// after a failed apply so the log holds what the head applied. It returns
+// err, or the commit's error if err is nil.
+func (h *Head) commit(err error) error {
+	if w := h.opts.WAL; w != nil {
+		if cerr := w.Commit(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }
 
 // lookupSeries resolves a series id through its stripe.
@@ -328,20 +337,16 @@ func (h *Head) getOrCreateSeries(ls labels.Labels) (*MemSeries, error) {
 	return h.installSeriesLocked(id, ls)
 }
 
-// appendLocked is the individual-series write path (§3.1 physical view):
-// the sample is logged as its own WAL record, or staged in the pending
-// batch when staged is set. The caller holds s.mu, so per series WAL order
-// equals sequence order.
-func (h *Head) appendLocked(s *MemSeries, t int64, v float64, staged bool) error {
+// appendSeries is the individual-series write path (§3.1 physical view):
+// under s.mu, so per series WAL order equals sequence order, it stages the
+// sample in the pending WAL record, which the caller commits, and ingests
+// it.
+func (h *Head) appendSeries(s *MemSeries, t int64, v float64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.seq++
 	if w := h.opts.WAL; w != nil {
-		var err error
-		if staged {
-			err = w.StageSample(s.ID, s.seq, t, v)
-		} else {
-			err = w.LogSample(s.ID, s.seq, t, v)
-		}
-		if err != nil {
+		if err := w.StageSample(s.ID, s.seq, t, v); err != nil {
 			return err
 		}
 	}

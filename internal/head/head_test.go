@@ -1,6 +1,7 @@
 package head
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -96,10 +97,12 @@ func TestAppendCreatesSeriesAndIndexes(t *testing.T) {
 	}
 }
 
+// TestAppendFastUnknownSeries: the fast path validates as a batch of one,
+// so an unknown id is an ErrInvalidBatch.
 func TestAppendFastUnknownSeries(t *testing.T) {
 	h, _ := newTestHead(t, nil)
-	if err := h.AppendFast(42, 1, 1); err == nil {
-		t.Fatal("unknown id accepted")
+	if err := h.AppendFast(42, 1, 1); !errors.Is(err, ErrInvalidBatch) {
+		t.Fatalf("unknown id: error %v, want %v", err, ErrInvalidBatch)
 	}
 }
 
@@ -346,15 +349,18 @@ func TestGroupValidation(t *testing.T) {
 	if _, _, err := h.AppendGroup(labels.FromStrings("a", "b"), []labels.Labels{{}}, 0, []float64{1, 2}); err == nil {
 		t.Fatal("mismatched lengths accepted")
 	}
-	if err := h.AppendGroupFast(123, []int{0}, 0, []float64{1}); err == nil {
-		t.Fatal("unknown group accepted")
+	if err := h.AppendGroupFast(123, []int{0}, 0, []float64{1}); !errors.Is(err, ErrInvalidBatch) {
+		t.Fatalf("unknown group: error %v, want %v", err, ErrInvalidBatch)
 	}
 	gid, _, err := h.AppendGroup(labels.FromStrings("a", "b"), []labels.Labels{labels.FromStrings("m", "x")}, 0, []float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AppendGroupFast(gid, []int{5}, 1, []float64{1}); err == nil {
-		t.Fatal("out-of-range slot accepted")
+	if err := h.AppendGroupFast(gid, []int{5}, 1, []float64{1}); !errors.Is(err, ErrInvalidBatch) {
+		t.Fatalf("out-of-range slot: error %v, want %v", err, ErrInvalidBatch)
+	}
+	if err := h.AppendGroupFast(gid, []int{0}, 1, []float64{1, 2}); !errors.Is(err, ErrInvalidBatch) {
+		t.Fatalf("slots/values mismatch: error %v, want %v", err, ErrInvalidBatch)
 	}
 }
 

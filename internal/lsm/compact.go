@@ -7,7 +7,6 @@ import (
 
 	"timeunion/internal/cloud"
 	"timeunion/internal/encoding"
-	"timeunion/internal/sstable"
 	"timeunion/internal/tuple"
 )
 
@@ -18,13 +17,13 @@ type mergedEntry struct {
 	seq uint64 // creation seq of the source table, for newest-wins ordering
 }
 
-// collectEntries reads every entry of the given tables into memory, sorted
-// by (key, source table seq). Partitions are bounded (a few MB at the
-// paper's partition sizes), so an in-memory sort-merge is the simple and
-// correct choice. Each table costs one whole-object Get and never touches
-// the block cache; entry values alias the decoded blocks, which nothing
-// else holds.
-func collectEntries(handles []*tableHandle) ([]mergedEntry, error) {
+// collectEntries reads every entry of the given tables into memory, sorts
+// them by (key, source table seq) and folds them (foldEntries). Partitions
+// are bounded (a few MB at the paper's partition sizes), so an in-memory
+// sort-merge is the simple and correct choice. Each table costs one
+// whole-object Get and never touches the block cache; entry values alias
+// the decoded blocks, which nothing else holds.
+func collectEntries(handles []*tableHandle) ([]tuple.KV, error) {
 	var entries []mergedEntry
 	for _, h := range handles {
 		it := h.tbl.IterWhole()
@@ -50,7 +49,7 @@ func collectEntries(handles []*tableHandle) ([]mergedEntry, error) {
 		}
 		return entries[i].seq < entries[j].seq
 	})
-	return entries, nil
+	return foldEntries(entries)
 }
 
 // foldEntries merges duplicate keys and then merges any time-overlapping
@@ -135,24 +134,22 @@ func allTables(p *partition) []*tableHandle {
 // Figure 12 left). The fast-manifest swap after the in-memory publish is
 // the commit point; input objects are deleted only after it.
 func (l *LSM) runL0L1(job *compactionJob) error {
-	entries, err := collectEntries(job.handles)
+	kvs, err := collectEntries(job.handles)
 	if err != nil {
 		return err
 	}
-	kvs, err := foldEntries(entries)
+	byWindow, order, err := bucketByWindow(kvs, job.outLen)
 	if err != nil {
 		return err
 	}
-	newParts, err := l.buildPartitions(l.opts.Fast, 1, kvs, job.outLen)
+	newParts, err := l.buildPartitions(l.opts.Fast, 1, job.outLen, byWindow, order)
 	if err != nil {
 		return err
 	}
 	job.res.partsOut = len(newParts)
 	for _, p := range newParts {
 		job.res.tablesOut += len(p.tables)
-		for _, h := range p.tables {
-			job.res.bytesOut += h.tbl.Size()
-		}
+		job.res.bytesOut += sizeOf(p.tables)
 	}
 
 	l.mu.Lock()
@@ -177,11 +174,12 @@ func (l *LSM) runL0L1(job *compactionJob) error {
 	return nil
 }
 
-// buildPartitions splits kvs on the outLen grid and writes one partition
-// per non-empty window at the given level/store. On error every table
-// already written — in earlier windows and, via writeTables' own cleanup,
-// in the failing one — is deleted, so a failed build leaves no orphans.
-func (l *LSM) buildPartitions(store cloud.Store, level int, kvs []tuple.KV, outLen int64) (parts []*partition, err error) {
+// buildPartitions writes one partition of length outLen per window in
+// order, from the window's bucket (bucketByWindow), at the given
+// level/store. On error every table already written — in earlier windows
+// and, via writeTables' own cleanup, in the failing one — is deleted, so a
+// failed build leaves no orphans.
+func (l *LSM) buildPartitions(store cloud.Store, level int, outLen int64, byWindow map[int64][]tuple.KV, order []int64) (parts []*partition, err error) {
 	defer func() {
 		if err != nil {
 			for _, p := range parts {
@@ -192,10 +190,6 @@ func (l *LSM) buildPartitions(store cloud.Store, level int, kvs []tuple.KV, outL
 			parts = nil
 		}
 	}()
-	byWindow, order, err := bucketByWindow(kvs, outLen)
-	if err != nil {
-		return nil, err
-	}
 	for _, ws := range order {
 		p := &partition{minT: ws, maxT: ws + outLen}
 		handles, err := l.writeTables(store, level, p, byWindow[ws])
@@ -276,22 +270,8 @@ func releaseAll(hs []*tableHandle) {
 func (l *LSM) runL1L2(job *compactionJob) error {
 	inputs, overlapped, outLen := job.inputs, job.overlapped, job.outLen
 
-	entries, err := collectEntries(job.handles)
+	kvs, err := collectEntries(job.handles)
 	if err != nil {
-		return err
-	}
-	kvs, err := foldEntries(entries)
-	if err != nil {
-		return err
-	}
-
-	// Any output table written before a failure below is deleted on the
-	// error path, so an aborted upload strands nothing.
-	var created []*tableHandle
-	fail := func(err error) error {
-		for _, h := range created {
-			h.markObsolete()
-		}
 		return err
 	}
 
@@ -303,7 +283,6 @@ func (l *LSM) runL1L2(job *compactionJob) error {
 		return err
 	}
 	patchBatches := map[*partition][]tuple.KV{}
-	newWindowKVs := map[int64][]tuple.KV{}
 	var newOrder []int64
 	for _, ws := range order {
 		var cover *partition
@@ -316,23 +295,26 @@ func (l *LSM) runL1L2(job *compactionJob) error {
 		if cover != nil {
 			patchBatches[cover] = append(patchBatches[cover], byWindow[ws]...)
 		} else {
-			newWindowKVs[ws] = byWindow[ws]
 			newOrder = append(newOrder, ws)
 		}
 	}
 
 	// New L2 partitions for uncovered windows.
-	var newParts []*partition
-	for _, ws := range newOrder {
-		p := &partition{minT: ws, maxT: ws + outLen}
-		hs, err := l.writeTables(l.opts.Slow, 2, p, newWindowKVs[ws])
-		if err != nil {
-			return fail(err)
+	newParts, err := l.buildPartitions(l.opts.Slow, 2, outLen, byWindow, newOrder)
+	if err != nil {
+		return err
+	}
+	// Any output table written before a failure below is deleted on the
+	// error path, so an aborted upload strands nothing.
+	var created []*tableHandle
+	for _, p := range newParts {
+		created = append(created, p.tables...)
+	}
+	fail := func(err error) error {
+		for _, h := range created {
+			h.markObsolete()
 		}
-		p.tables = hs
-		p.patches = make([][]*tableHandle, len(hs))
-		newParts = append(newParts, p)
-		created = append(created, hs...)
+		return err
 	}
 
 	// Patches: route by the ID ranges of the target partition's SSTables.
@@ -384,9 +366,7 @@ func (l *LSM) runL1L2(job *compactionJob) error {
 	job.res.partsOut = len(newParts)
 	job.res.patchesOut = len(written)
 	job.res.tablesOut = len(created)
-	for _, h := range created {
-		job.res.bytesOut += h.tbl.Size()
-	}
+	job.res.bytesOut = sizeOf(created)
 
 	// Publish: swap inputs out of L1, add new L2 partitions and patches.
 	l.mu.Lock()
@@ -459,22 +439,8 @@ func (l *LSM) writePatch(p *partition, baseSeq uint64, kvs []tuple.KV) (*tableHa
 			return nil, fmt.Errorf("lsm: build patch: %w", err)
 		}
 	}
-	data, err := w.Finish()
-	if err != nil {
-		return nil, err
-	}
 	seq := l.nextFileSeq()
-	name := patchName(p, baseSeq, seq)
-	l.book.declare(name)
-	if err := l.opts.Slow.Put(name, data); err != nil {
-		l.book.forget(name)
-		return nil, fmt.Errorf("lsm: write patch %s: %w", name, err)
-	}
-	tbl, err := sstable.OpenTableFromBytes(l.opts.Slow, name, l.opts.Cache, data)
-	if err != nil {
-		return nil, err
-	}
-	return newTableHandle(tbl, l.opts.Slow, name, seq, l.book), nil
+	return l.putTable(l.opts.Slow, patchName(p, baseSeq, seq), seq, w)
 }
 
 // mergePatches merges base table idx of partition p with all its patches
@@ -504,18 +470,10 @@ func (l *LSM) mergePatches(p *partition, idx int) (err error) {
 	for _, h := range old {
 		h.retain()
 	}
-	tablesIn = len(old)
-	for _, h := range old {
-		bytesIn += h.tbl.Size()
-	}
+	tablesIn, bytesIn = len(old), sizeOf(old)
 	l.mu.Unlock()
 
-	entries, err := collectEntries(old)
-	if err != nil {
-		releaseAll(old)
-		return err
-	}
-	kvs, err := foldEntries(entries)
+	kvs, err := collectEntries(old)
 	releaseAll(old)
 	if err != nil {
 		return err
@@ -524,10 +482,7 @@ func (l *LSM) mergePatches(p *partition, idx int) (err error) {
 	if err != nil {
 		return err
 	}
-	tablesOut = len(newHandles)
-	for _, h := range newHandles {
-		bytesOut += h.tbl.Size()
-	}
+	tablesOut, bytesOut = len(newHandles), sizeOf(newHandles)
 
 	l.mu.Lock()
 	tables := make([]*tableHandle, 0, len(p.tables)-1+len(newHandles))

@@ -224,14 +224,18 @@ func (p *partition) overlaps(minT, maxT int64) bool {
 }
 
 func (p *partition) sizeBytes() int64 {
-	var n int64
-	for _, t := range p.tables {
-		n += t.tbl.Size()
-	}
+	n := sizeOf(p.tables)
 	for _, ps := range p.patches {
-		for _, t := range ps {
-			n += t.tbl.Size()
-		}
+		n += sizeOf(ps)
+	}
+	return n
+}
+
+// sizeOf sums the byte sizes of tables.
+func sizeOf(tables []*tableHandle) int64 {
+	var n int64
+	for _, t := range tables {
+		n += t.tbl.Size()
 	}
 	return n
 }
@@ -687,35 +691,20 @@ func (l *LSM) flushMemtable(m *memtable.MemTable) (err error) {
 	if err != nil {
 		return fmt.Errorf("lsm: flush split: %w", err)
 	}
-
-	// Stage every window's tables before publishing anything, so a failed
-	// flush leaves no tables half-adopted (the staged ones are deleted).
-	type staged struct {
-		part    *partition
-		handles []*tableHandle
+	// Write every window's tables before publishing anything, so a failed
+	// flush leaves no tables half-adopted (the written ones are deleted).
+	parts, err := l.buildPartitions(l.opts.Fast, 0, r1, byWindow, order)
+	if err != nil {
+		return err
 	}
-	var stagedParts []staged
-	for _, ws := range order {
-		part := &partition{minT: ws, maxT: ws + r1}
-		handles, err := l.writeTables(l.opts.Fast, 0, part, byWindow[ws])
-		if err != nil {
-			for _, s := range stagedParts {
-				for _, h := range s.handles {
-					h.markObsolete()
-				}
-			}
-			return err
-		}
-		stagedParts = append(stagedParts, staged{part, handles})
-		partsOut++
-		tablesOut += len(handles)
-		for _, h := range handles {
-			bytesOut += h.tbl.Size()
-		}
+	partsOut = len(parts)
+	for _, p := range parts {
+		tablesOut += len(p.tables)
+		bytesOut += sizeOf(p.tables)
 	}
 
 	l.mu.Lock()
-	for _, s := range stagedParts {
+	for _, np := range parts {
 		// Reuse an existing L0 partition with the same window, else insert.
 		// A busy partition (input of an in-flight compaction job) cannot
 		// adopt tables — the job has already snapshotted its handles and
@@ -723,16 +712,16 @@ func (l *LSM) flushMemtable(m *memtable.MemTable) (err error) {
 		// inserted alongside it instead.
 		var target *partition
 		for _, p := range l.l0 {
-			if p.minT == s.part.minT && p.maxT == s.part.maxT && !l.busyParts[p] {
+			if p.minT == np.minT && p.maxT == np.maxT && !l.busyParts[p] {
 				target = p
 				break
 			}
 		}
 		if target == nil {
-			l.l0 = insertPartition(l.l0, s.part)
-			target = s.part
+			l.l0 = insertPartition(l.l0, np)
+			continue
 		}
-		target.tables = append(target.tables, s.handles...)
+		target.tables = append(target.tables, np.tables...)
 	}
 	l.mu.Unlock()
 
@@ -780,22 +769,12 @@ func (l *LSM) writeTables(store cloud.Store, level int, p *partition, kvs []tupl
 	}()
 	w := l.newTableWriter(level)
 	flushW := func() error {
-		data, err := w.Finish()
+		seq := l.nextFileSeq()
+		h, err := l.putTable(store, tableName(level, p, seq), seq, w)
 		if err != nil {
 			return err
 		}
-		seq := l.nextFileSeq()
-		name := tableName(level, p, seq)
-		l.book.declare(name)
-		if err := store.Put(name, data); err != nil {
-			l.book.forget(name)
-			return fmt.Errorf("lsm: write table %s: %w", name, err)
-		}
-		tbl, err := sstable.OpenTableFromBytes(store, name, l.opts.Cache, data)
-		if err != nil {
-			return fmt.Errorf("lsm: reopen table %s: %w", name, err)
-		}
-		handles = append(handles, newTableHandle(tbl, store, name, seq, l.book))
+		handles = append(handles, h)
 		return nil
 	}
 	var lastID uint64
@@ -813,6 +792,26 @@ func (l *LSM) writeTables(store cloud.Store, level int, p *partition, kvs []tupl
 		lastID = id
 	}
 	return handles, flushW()
+}
+
+// putTable finishes w and stores it as name, the table of file sequence
+// seq: the name is declared to the bookkeeper before the Put and forgotten
+// if the Put fails, and the table is opened from the bytes just written.
+func (l *LSM) putTable(store cloud.Store, name string, seq uint64, w *sstable.Writer) (*tableHandle, error) {
+	data, err := w.Finish()
+	if err != nil {
+		return nil, err
+	}
+	l.book.declare(name)
+	if err := store.Put(name, data); err != nil {
+		l.book.forget(name)
+		return nil, fmt.Errorf("lsm: write table %s: %w", name, err)
+	}
+	tbl, err := sstable.OpenTableFromBytes(store, name, l.opts.Cache, data)
+	if err != nil {
+		return nil, fmt.Errorf("lsm: reopen table %s: %w", name, err)
+	}
+	return newTableHandle(tbl, store, name, seq, l.book), nil
 }
 
 // newTableWriter returns the builder for one table at level. The block

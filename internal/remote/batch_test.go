@@ -123,6 +123,41 @@ func TestFastWritesAreAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestPerSampleFallbackRejectsWith400: a backend without AppendBatch is
+// served one fast call per sample, which validates as a batch of one, so
+// an unknown id, an unknown group or a bad slot answers 400 as the batch
+// path does.
+func TestPerSampleFallbackRejectsWith400(t *testing.T) {
+	_, db := newWALServer(t)
+	h := NewServer(struct{ Backend }{&TimeUnionBackend{DB: db}})
+	id, err := db.Append(labels.FromStrings("m", "s"), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gid, slots, err := db.AppendGroup(labels.FromStrings("host", "h"), []labels.Labels{labels.FromStrings("f", "x")}, 1, []float64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		name, path string
+		req        any
+	}{
+		{"write_fast unknown id", "/api/v1/write_fast", FastWriteRequest{Entries: []FastWriteEntry{
+			{ID: id + 100, Samples: []Sample{{T: 2, V: 2}}},
+		}}},
+		{"write_group unknown gid", "/api/v1/write_group", GroupWriteRequest{
+			GID: gid + 100, Slots: slots, Times: []int64{2}, Values: [][]float64{{2}},
+		}},
+		{"write_group slot out of range", "/api/v1/write_group", GroupWriteRequest{
+			GID: gid, Slots: []int{1}, Times: []int64{2}, Values: [][]float64{{2}},
+		}},
+	} {
+		if rec := post(t, h, r.path, r.req); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", r.name, rec.Code, rec.Body.String())
+		}
+	}
+}
+
 // BenchmarkWriteFast sends one 1,010-sample write_fast body (101 hosts x
 // 10 series, one sample each, the ingest benchmark's shape) through
 // NewServer with the WAL on.

@@ -50,7 +50,7 @@ func recordShapes(t *testing.T, path string) [][]byte {
 	var e entry
 	_, err := scanRecords(path, -1, func(p []byte) error {
 		var types []byte
-		err := decodeRecord(p, true, &e, func(e *entry) error {
+		err := decodeRecord(p, &e, func(e *entry) error {
 			types = append(types, e.typ)
 			return nil
 		})
@@ -270,8 +270,8 @@ func TestPurgeKeepsBatchWithOneUnflushedEntry(t *testing.T) {
 }
 
 // TestSingleSampleCommitsPendingBatch: a single-sample write for series X
-// while a batch holding X is pending lands after the batch, so replay is
-// in sequence order.
+// while a batch holding X is pending is staged after the batch and commits
+// it, so replay is in sequence order.
 func TestSingleSampleCommitsPendingBatch(t *testing.T) {
 	dir := t.TempDir()
 	w := openTestWAL(t, dir, 0)
@@ -279,8 +279,8 @@ func TestSingleSampleCommitsPendingBatch(t *testing.T) {
 	stage(t, w, 7, 1)
 	stage(t, w, 8, 1)
 	logOne(t, w, 7, 2)
-	if n := countRecords(t, path); n != 2 {
-		t.Fatalf("segment holds %d records, want 2 (batch, then single)", n)
+	if n := countRecords(t, path); n != 1 {
+		t.Fatalf("segment holds %d records, want 1 (the batch, the single sample last)", n)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -293,9 +293,9 @@ func TestSingleSampleCommitsPendingBatch(t *testing.T) {
 	}
 }
 
-// TestFlushMarkCommitsPendingBatch: a flush mark never precedes, in the
-// file, a staged sample it covers, and one LogFlushMarks call is one
-// record of marks.
+// TestFlushMarkCommitsPendingBatch: one LogFlushMarks call stages its
+// marks behind the pending batch and commits them with it, so a flush mark
+// never precedes, in the file, a staged sample it covers.
 func TestFlushMarkCommitsPendingBatch(t *testing.T) {
 	dir := t.TempDir()
 	w := openTestWAL(t, dir, 0)
@@ -305,9 +305,9 @@ func TestFlushMarkCommitsPendingBatch(t *testing.T) {
 	if err := w.LogFlushMarks([]FlushMark{{ID: 3, Seq: 1}, {ID: 4, Seq: 9}}); err != nil {
 		t.Fatal(err)
 	}
-	want := [][]byte{{recSample, recSample}, {recFlushMark, recFlushMark}}
+	want := [][]byte{{recSample, recSample, recFlushMark, recFlushMark}}
 	if got := recordShapes(t, path); !reflect.DeepEqual(got, want) {
-		t.Fatalf("entry types per record in file order %v, want %v: the batch, then one record of marks", got, want)
+		t.Fatalf("entry types per record in file order %v, want %v: one record, the marks after the batch", got, want)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"timeunion/internal/encoding"
@@ -62,7 +63,7 @@ func TestContinuationRoundTrip(t *testing.T) {
 	}
 	want = append(want, logged{id: 1<<63 | 1, seq: 1, t: 200, vals: gvals})
 	stageRun(27, 1, 2, 200) // right after a group round: id 27 follows id 26
-	// A single-sample write commits the batch.
+	// A single-sample write is staged last and commits the batch.
 	if err := w.LogSample(500, 2, 200, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +79,8 @@ func TestContinuationRoundTrip(t *testing.T) {
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if n := countRecords(t, path); n != 5 {
-		t.Fatalf("segment holds %d records, want 5 (batch, single, batch, early commit, rest)", n)
+	if n := countRecords(t, path); n != 4 {
+		t.Fatalf("segment holds %d records, want 4 (batch ending in the single sample, batch, early commit, rest)", n)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -133,19 +134,40 @@ func nextEntry(b *encoding.Buf, v float64) {
 	b.PutBE64(math.Float64bits(v))
 }
 
+// writeSegment writes payloads, each framed as one record, as the only
+// segment of a WAL in a new directory and opens that WAL.
+func writeSegment(t *testing.T, payloads ...[]byte) *WAL {
+	t.Helper()
+	dir := t.TempDir()
+	var seg []byte
+	for _, p := range payloads {
+		seg = append(seg, frame(p)...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "00000001.wal"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return openTestWAL(t, dir, 0)
+}
+
 // TestOrphanContinuationFailsRecovery: a continuation with no sample before
-// it in its batch is an error that recovery surfaces, not a record it
+// it in its record is an error that recovery surfaces, not a record it
 // skips or repairs away.
 func TestOrphanContinuationFailsRecovery(t *testing.T) {
 	for name, build := range map[string]func(b *encoding.Buf){
 		"batch starts with one": func(b *encoding.Buf) {
-			b.PutByte(recBatch)
 			nextEntry(b, 1)
+			putSample(b, 2, 1, 10, 2)
 		},
 		"right after a group round": func(b *encoding.Buf) {
-			b.PutByte(recBatch)
 			putSample(b, 1, 1, 10, 1)
 			putGroupSample(b, 2, 1, 10, []uint32{0}, []float64{2})
+			nextEntry(b, 3)
+		},
+		"right after a flush mark": func(b *encoding.Buf) {
+			putSample(b, 1, 1, 10, 1)
+			b.PutByte(recFlushMark)
+			b.PutUvarint(1)
+			b.PutUvarint(1)
 			nextEntry(b, 3)
 		},
 		"single-entry record": func(b *encoding.Buf) {
@@ -153,15 +175,10 @@ func TestOrphanContinuationFailsRecovery(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
 			var good, bad encoding.Buf
 			putSample(&good, 1, 1, 10, 1) // a previous record's sample continues nothing
 			build(&bad)
-			seg := append(frame(good.Get()), frame(bad.Get())...)
-			if err := os.WriteFile(filepath.Join(dir, "00000001.wal"), seg, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			w := openTestWAL(t, dir, 0)
+			w := writeSegment(t, good.Get(), bad.Get())
 			defer w.Close()
 			if _, err := recoverLogged(w); !errors.Is(err, errOrphanContinuation) {
 				t.Fatalf("recover error %v, want %v", err, errOrphanContinuation)
@@ -176,40 +193,118 @@ func TestOrphanContinuationFailsRecovery(t *testing.T) {
 	}
 }
 
+// TestRetiredBatchTypeFailsRecovery: a record that starts with type 7, the
+// batch framing that every record now is, fails recovery with the segment
+// named, and nothing of it or after it is skipped or repaired away.
+func TestRetiredBatchTypeFailsRecovery(t *testing.T) {
+	var good, old encoding.Buf
+	putSample(&good, 1, 1, 10, 1)
+	old.PutByte(7)
+	putSample(&old, 1, 2, 20, 2)
+	w := writeSegment(t, good.Get(), old.Get())
+	defer w.Close()
+	seg := w.segPath(1)
+	_, err := recoverLogged(w)
+	if err == nil || !strings.Contains(err.Error(), seg) || !strings.Contains(err.Error(), "type 7") {
+		t.Fatalf("recover error %v, want an unknown entry type 7 in %s", err, seg)
+	}
+	if r := w.CorruptionsRepaired(); len(r) != 0 {
+		t.Fatalf("type-7 record repaired away: %v", r)
+	}
+}
+
 // FuzzSegmentEntries runs the entry decoder over arbitrary payloads in a
 // correctly framed and checksummed record: it must decode them or return
-// an error, never panic, and replay's full decode must not accept what
-// purge's partial one rejects.
+// an error, never panic, and entries it accepts, logged again by the
+// writer, must decode back to the same entries.
 func FuzzSegmentEntries(f *testing.F) {
 	var b encoding.Buf
-	b.PutByte(recBatch)
 	putSample(&b, 1, 1, 10, 1)
 	nextEntry(&b, 2)
 	putGroupSample(&b, 3, 1, 10, []uint32{0, 4}, []float64{1, 2})
 	b.PutByte(recFlushMark)
 	b.PutUvarint(1)
 	b.PutUvarint(1)
+	putSample(&b, 2, 1, 10, math.NaN())
 	f.Add(append([]byte(nil), b.Get()...))
 	b.Reset()
 	putSample(&b, 9, 9, -9, 9)
 	f.Add(append([]byte(nil), b.Get()...))
-	f.Add([]byte{recBatch, recSampleNext, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{recSampleNext, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{7, recFlushMark, 1, 1})
 	f.Add([]byte{recGroupSample, 1, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		path := filepath.Join(t.TempDir(), "00000001.wal")
-		if err := os.WriteFile(path, frame(payload), 0o644); err != nil {
+		w := writeSegment(t, payload)
+		got, err := decodedEntries(w.segPath(1))
+		if err != nil {
+			w.Close()
+			return
+		}
+		// Log the accepted entries again, in a new segment.
+		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		count := func(full bool) (int, error) {
-			n := 0
-			err := scanEntries(path, -1, full, func(*entry) error { n++; return nil })
-			return n, err
+		w = openTestWAL(t, t.TempDir(), 0)
+		for _, e := range got {
+			switch e.typ {
+			case recSample:
+				err = w.StageSample(e.id, e.seq, e.t, math.Float64frombits(e.v))
+			case recGroupSample:
+				vals := make([]float64, len(e.vals))
+				for i, v := range e.vals {
+					vals[i] = math.Float64frombits(v)
+				}
+				err = w.StageGroupSample(e.id, e.seq, e.t, e.slots, vals)
+			default:
+				err = w.LogFlushMarks([]FlushMark{{ID: e.id, Seq: e.seq}})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
-		nFull, errFull := count(true)
-		nPart, errPart := count(false)
-		if errFull == nil && (errPart != nil || nPart != nFull) {
-			t.Fatalf("full decode gave %d entries, partial %d (error %v)", nFull, nPart, errPart)
+		seg := w.segPath(w.segIdx)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := decodedEntries(seg)
+		if err != nil {
+			t.Fatalf("writer-built entries failed to decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, got) {
+			t.Fatalf("writer-built entries decoded to\n%v\nwant\n%v", again, got)
 		}
 	})
+}
+
+// decodedEntry is a copy of one decoded entry with the fields of its type
+// only, values as bits so NaNs compare.
+type decodedEntry struct {
+	typ     byte
+	id, seq uint64
+	t       int64
+	v       uint64
+	slots   []uint32
+	vals    []uint64
+}
+
+func decodedEntries(path string) ([]decodedEntry, error) {
+	var out []decodedEntry
+	err := scanEntries(path, -1, func(e *entry) error {
+		d := decodedEntry{typ: e.typ, id: e.id, seq: e.seq}
+		switch e.typ {
+		case recSample:
+			d.t, d.v = e.t, math.Float64bits(e.v)
+		case recGroupSample:
+			d.t = e.t
+			d.slots = append([]uint32{}, e.slots...)
+			d.vals = []uint64{}
+			for _, v := range e.vals {
+				d.vals = append(d.vals, math.Float64bits(v))
+			}
+		}
+		out = append(out, d)
+		return nil
+	})
+	return out, err
 }

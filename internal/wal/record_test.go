@@ -86,18 +86,17 @@ func TestRecordBytesPinned(t *testing.T) {
 		"21995ba173058780808080808080800101d00f02003ff800000000000003c000",
 		"000000000000",
 		// StageSample x3 (two continuations), StageGroupSample, Commit
-		"9b01ad2ba65507040102a01f3fd0000000000000083fe0000000000000083fe8",
-		"000000000000058780808080808080800102a01f0c000000000000000000013f",
-		"f400000000000002400400000000000003400e00000000000004401400000000",
-		"000005401900000000000006401e000000000000074021800000000000084024",
-		"0000000000000940268000000000000a40290000000000000b402b8000000000",
-		"00",
+		"9a01920adfb7040102a01f3fd0000000000000083fe0000000000000083fe800",
+		"0000000000058780808080808080800102a01f0c000000000000000000013ff4",
+		"00000000000002400400000000000003400e0000000000000440140000000000",
+		"0005401900000000000006401e00000000000007402180000000000008402400",
+		"00000000000940268000000000000a40290000000000000b402b800000000000",
 		// LogFlushMarks
-		"9701958651380706010206020206030206040206050206060206070206080206",
-		"0902060a02060b02060c02060d02060e02060f02061002061102061202061302",
-		"061402061502061602061702061802061902061a02061b02061c02061d02061e",
-		"02061f0206200206210206220206230206240206250206260206270206280206",
-		"2902062a02062b02062c02062d02062e02062f02063002063102063202",
+		"96016fcbcea30601020602020603020604020605020606020607020608020609",
+		"02060a02060b02060c02060d02060e02060f0206100206110206120206130206",
+		"1402061502061602061702061802061902061a02061b02061c02061d02061e02",
+		"061f020620020621020622020623020624020625020626020627020628020629",
+		"02062a02062b02062c02062d02062e02062f02063002063102063202",
 	)
 	wantCat := goldenHex(t,
 		// LogSeries
@@ -177,7 +176,7 @@ func TestTornLastRecordRecoversEarlier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The marks record's payload is 151 bytes, so its header is a 2-byte
+	// The marks record's payload is 150 bytes, so its header is a 2-byte
 	// length and the 4-byte CRC.
 	const hdrLen = 6
 	for _, tail := range []string{"trimmed", "preallocated"} {

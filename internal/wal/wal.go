@@ -15,16 +15,17 @@
 //   - samples and flush marks live in size-bounded segments
 //     (000001.wal, 000002.wal, ...) that purge drops wholesale.
 //
-// A segment record carries either one entry (a sample or a group round,
-// written by the single-sample Log* calls) or a batch of them:
-// StageSample/StageGroupSample collect one write request's entries in a
-// pending buffer and Commit writes them as one record, and LogFlushMarks
-// writes one flush's marks as one record (DESIGN.md §4.6). Inside a batch,
-// a sample that continues the previous one (next id, same seq and t) is
-// logged as its value alone. Every record, catalog ones included, is built
-// in a buffer the WAL owns behind room for its header. A segment record is
-// then copied into a shared mapping of the active segment
-// (xmmap.AppendRegion), a catalog record written with one write(2).
+// A segment record is a run of one or more entries (samples, group rounds,
+// flush marks), each led by its type byte. Every one is built the same way:
+// StageSample/StageGroupSample add entries to a pending buffer and Commit
+// writes what is pending as one record; LogSample/LogGroupSample are a
+// batch of one, and LogFlushMarks stages one flush's marks behind whatever
+// is pending and commits (DESIGN.md §4.6). A sample that continues the
+// entry before it in its record (next id, same seq and t) is logged as its
+// value alone. Every record, catalog ones included, is built in a buffer
+// the WAL owns behind room for its header. A segment record is then copied
+// into a shared mapping of the active segment (xmmap.AppendRegion), a
+// catalog record written with one write(2).
 //
 // Purge is conservative: a segment is removed only when every sample record
 // in it is at or below its series' flushed sequence. That includes the
@@ -61,13 +62,13 @@ const (
 	recSample      = byte(4) // id, seq, t, v
 	recGroupSample = byte(5) // gid, seq, t, [slot, v]...
 	recFlushMark   = byte(6) // id, seq
-	recBatch       = byte(7) // entries: recSample/recGroupSample/recFlushMark/recSampleNext payloads back to back
-	recSampleNext  = byte(8) // batch only: v of the sample id+1, with the seq and t of the sample before it
+	// Type 7 is retired; a record that starts with it fails recovery.
+	recSampleNext = byte(8) // v of the sample id+1, with the seq and t of the sample before it in its record
 )
 
-// maxPendingBytes bounds the pending batch: a batch that grows past it is
+// maxPendingBytes bounds the pending record: one that grows past it is
 // committed early. That is safe because its entries are already applied
-// to the head; the batch's caller still commits the rest.
+// to the head; their callers still commit the rest.
 const maxPendingBytes = 1 << 20
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -77,7 +78,7 @@ const DefaultSegmentSize = 4 << 20
 
 // segmentHeadroom is mapped past a segment's size bound. A segment rolls
 // once it reaches the bound, so a record up to this size, a full pending
-// batch included, fits in the active segment wherever it stands; only a
+// record included, fits in the active segment wherever it stands; only a
 // larger one rolls the segment first.
 const segmentHeadroom = 2 * maxPendingBytes
 
@@ -105,20 +106,18 @@ type WAL struct {
 	seg     *xmmap.AppendRegion
 	segIdx  int
 
-	// pending holds staged batch entries behind the header room and a
-	// recBatch type byte (meaningless when pendingN is 0); pendingN counts
-	// them. Commit frames pending in place and writes it as one record.
+	// pending holds staged entries behind the header room (meaningless
+	// when pendingN is 0); pendingN counts them. Commit frames pending in
+	// place and writes it as one segment record.
 	pending  encoding.Buf
 	pendingN int
-	// rec is where every other record (one sample or group round, one
-	// flush's marks, one catalog definition) is built behind the header
-	// room and appended from, so such a record costs one copy into the
-	// segment (or one write(2) to the catalog) and, once rec has grown, no
-	// allocation.
+	// rec is where a catalog definition is built behind the header room
+	// and written from, so it costs one write(2) and, once rec has grown,
+	// no allocation.
 	rec encoding.Buf
-	// last is the sample staged last in the pending batch, which the next
+	// last is the sample staged last in the pending record, which the next
 	// staged sample may continue (recSampleNext); ok is false when the
-	// batch is empty or its last entry is a group round.
+	// record is empty or its last entry is not a sample.
 	last lastSample
 	// failed is the first failed segment append or roll. A batch's lost
 	// entries are already applied and may belong to several callers, and a
@@ -147,7 +146,7 @@ type WAL struct {
 	journal *obs.Journal
 }
 
-// lastSample is the continuation state of the pending batch.
+// lastSample is the continuation state of the pending record.
 type lastSample struct {
 	id, seq uint64
 	t       int64
@@ -218,7 +217,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 	if reg := opts.Metrics; reg != nil {
 		w.mFsync = reg.Histogram("timeunion_wal_fsync_seconds", "", "Latency of WAL fsync calls (catalog + active segment).")
 		w.mRolls = reg.Counter("timeunion_wal_segment_rolls_total", "", "Sample segments closed, at the size bound or by a purge that drops the fully flushed active segment.")
-		w.mRecords = reg.Counter("timeunion_wal_records_total", "", "Sample, group-round and flush-mark entries appended to segments; a batch record counts each of its entries.")
+		w.mRecords = reg.Counter("timeunion_wal_records_total", "", "Sample, group-round and flush-mark entries appended to segments; a record counts each of its entries.")
 		w.mPurged = reg.Counter("timeunion_wal_purged_segments_total", "", "Obsolete segments removed by Purge.")
 		reg.GaugeFunc("timeunion_wal_size_bytes", "", "Logged WAL bytes (catalog + closed segments + the active segment's appended bytes + checkpoint).",
 			func() float64 { return float64(w.SizeBytes()) })
@@ -305,44 +304,21 @@ func frameRecord(rec []byte) []byte {
 	return rec[start:]
 }
 
-// appendLocked copies the record built in rec, which holds entries
-// entries, into the active segment and rolls the segment once it reaches
-// its size bound. A record that would cross the end of the mapping rolls
-// the segment first; one larger than a whole segment gets a segment of its
-// own. A failed append poisons the log. The caller holds w.mu.
-func (w *WAL) appendLocked(rec []byte, entries int) error {
-	framed := frameRecord(rec)
-	if len(framed) > w.seg.Room() {
-		if err := w.rollLocked(len(framed)); err != nil {
-			return err
-		}
-	}
-	if err := w.seg.Append(framed); err != nil {
-		w.failed = fmt.Errorf("wal: append: %w", err)
-		return w.failed
-	}
-	w.mRecords.Add(uint64(entries))
-	if w.seg.Len() >= w.segmentSize {
-		return w.rollLocked(0)
-	}
-	return nil
-}
-
-// pendingLocked opens the pending batch if needed and returns it for the
+// pendingLocked opens the pending record if needed and returns it for the
 // caller to append one entry to. The caller holds w.mu.
 func (w *WAL) pendingLocked() (*encoding.Buf, error) {
 	if w.failed != nil {
 		return nil, w.failed
 	}
 	if w.pendingN == 0 {
-		beginRecord(&w.pending).PutByte(recBatch)
+		beginRecord(&w.pending)
 		w.last.ok = false
 	}
 	w.pendingN++
 	return &w.pending, nil
 }
 
-// commitIfFullLocked commits the pending batch early once it passes
+// commitIfFullLocked commits the pending record early once it passes
 // maxPendingBytes. The caller holds w.mu.
 func (w *WAL) commitIfFullLocked() error {
 	if w.pending.Len()-hdrRoom < maxPendingBytes {
@@ -351,8 +327,11 @@ func (w *WAL) commitIfFullLocked() error {
 	return w.commitLocked()
 }
 
-// commitLocked writes the pending batch, if any, as one record. The caller
-// holds w.mu.
+// commitLocked copies the pending entries, if any, into the active segment
+// as one record and rolls the segment once it reaches its size bound. A
+// record that would cross the end of the mapping rolls the segment first;
+// one larger than a whole segment gets a segment of its own. A failed
+// append poisons the log. The caller holds w.mu.
 func (w *WAL) commitLocked() error {
 	if w.failed != nil {
 		return w.failed
@@ -362,12 +341,26 @@ func (w *WAL) commitLocked() error {
 	}
 	n := w.pendingN
 	w.pendingN = 0
-	return w.appendLocked(w.pending.B, n)
+	framed := frameRecord(w.pending.B)
+	if len(framed) > w.seg.Room() {
+		if err := w.rollLocked(len(framed)); err != nil {
+			return err
+		}
+	}
+	if err := w.seg.Append(framed); err != nil {
+		w.failed = fmt.Errorf("wal: append: %w", err)
+		return w.failed
+	}
+	w.mRecords.Add(uint64(n))
+	if w.seg.Len() >= w.segmentSize {
+		return w.rollLocked(0)
+	}
+	return nil
 }
 
 // StageSample adds one sample of an individual series to the pending
-// batch. It is not in the log until Commit (or a later single-entry
-// write, Sync or Close) returns.
+// record. It is not in the log until a Commit (or Log*, Sync or Close)
+// returns.
 func (w *WAL) StageSample(id, seq uint64, t int64, v float64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -385,7 +378,7 @@ func (w *WAL) StageSample(id, seq uint64, t int64, v float64) error {
 	return w.commitIfFullLocked()
 }
 
-// StageGroupSample adds one group insertion round to the pending batch;
+// StageGroupSample adds one group insertion round to the pending record;
 // see StageSample.
 func (w *WAL) StageGroupSample(gid, seq uint64, t int64, slots []uint32, vals []float64) error {
 	if len(slots) != len(vals) {
@@ -402,7 +395,7 @@ func (w *WAL) StageGroupSample(gid, seq uint64, t int64, slots []uint32, vals []
 	return w.commitIfFullLocked()
 }
 
-// Commit writes the pending batch as one record. Staged entries are
+// Commit writes the pending entries as one record. Staged entries are
 // acknowledged only after Commit returns nil; it commits every caller's
 // staged entries, not only the caller's own.
 func (w *WAL) Commit() error {
@@ -483,17 +476,13 @@ func (w *WAL) LogGroupMember(gid uint64, slot uint32, unique labels.Labels) erro
 	return w.writeCatalogLocked()
 }
 
-// LogSample records one sample of an individual series as its own record.
-// A pending batch is committed first, so file order always equals call
-// order.
+// LogSample records one sample of an individual series: a batch of one,
+// staged behind whatever is pending and committed with it.
 func (w *WAL) LogSample(id, seq uint64, t int64, v float64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.commitLocked(); err != nil {
+	if err := w.StageSample(id, seq, t, v); err != nil {
 		return err
 	}
-	putSample(beginRecord(&w.rec), id, seq, t, v)
-	return w.appendLocked(w.rec.B, 1)
+	return w.Commit()
 }
 
 func putSample(b *encoding.Buf, id, seq uint64, t int64, v float64) {
@@ -504,19 +493,13 @@ func putSample(b *encoding.Buf, id, seq uint64, t int64, v float64) {
 	b.PutBE64(math.Float64bits(v))
 }
 
-// LogGroupSample records one shared-timestamp insertion round of a group as
-// its own record; see LogSample.
+// LogGroupSample records one shared-timestamp insertion round of a group;
+// see LogSample.
 func (w *WAL) LogGroupSample(gid, seq uint64, t int64, slots []uint32, vals []float64) error {
-	if len(slots) != len(vals) {
-		return fmt.Errorf("wal: group sample slots/vals mismatch: %d vs %d", len(slots), len(vals))
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.commitLocked(); err != nil {
+	if err := w.StageGroupSample(gid, seq, t, slots, vals); err != nil {
 		return err
 	}
-	putGroupSample(beginRecord(&w.rec), gid, seq, t, slots, vals)
-	return w.appendLocked(w.rec.B, 1)
+	return w.Commit()
 }
 
 func putGroupSample(b *encoding.Buf, gid, seq uint64, t int64, slots []uint32, vals []float64) {
@@ -532,25 +515,25 @@ func putGroupSample(b *encoding.Buf, gid, seq uint64, t int64, slots []uint32, v
 }
 
 // LogFlushMarks records one LSM flush's marks (written after the flush's
-// manifest commit) as one record. The pending batch is committed first, so
-// a mark never precedes, in the file, a sample it covers.
+// manifest commit): they are staged behind whatever is pending and
+// committed with it, so a mark never precedes, in the file, a sample it
+// covers.
 func (w *WAL) LogFlushMarks(marks []FlushMark) error {
 	if len(marks) == 0 {
 		return nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.commitLocked(); err != nil {
-		return err
-	}
-	b := beginRecord(&w.rec)
-	b.PutByte(recBatch)
 	for _, m := range marks {
+		b, err := w.pendingLocked()
+		if err != nil {
+			return err
+		}
 		b.PutByte(recFlushMark)
 		b.PutUvarint(m.ID)
 		b.PutUvarint(m.Seq)
 	}
-	if err := w.appendLocked(b.B, len(marks)); err != nil {
+	if err := w.commitLocked(); err != nil {
 		return err
 	}
 	for _, m := range marks {
@@ -561,7 +544,7 @@ func (w *WAL) LogFlushMarks(marks []FlushMark) error {
 	return nil
 }
 
-// Sync commits the pending batch and flushes the catalog and the active
+// Sync commits the pending entries and flushes the catalog and the active
 // segment to disk.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
@@ -595,7 +578,7 @@ func (w *WAL) Close() error {
 }
 
 // CrashClose closes the file handles WITHOUT syncing, unmaps the active
-// segment without trimming it and drops the pending batch, so buffered
+// segment without trimming it and drops the pending entries, so buffered
 // state is abandoned exactly as a process crash would abandon it: the
 // segment keeps its zero tail. It exists for crash-recovery tests; the WAL
 // must not be used afterwards.
@@ -798,7 +781,7 @@ func (w *WAL) applyPurge(p purgePlan) (dropped int, err error) {
 // sequence.
 func segmentObsolete(path string, limit int64, flushed map[uint64]uint64) (bool, error) {
 	obsolete := true
-	err := scanEntries(path, limit, false, func(e *entry) error {
+	err := scanEntries(path, limit, func(e *entry) error {
 		if e.typ != recFlushMark && e.seq > flushed[e.id] {
 			obsolete = false
 		}
@@ -823,57 +806,48 @@ type entry struct {
 }
 
 // errOrphanContinuation reports a recSampleNext entry with no sample
-// before it in its batch: the log was written wrong, not torn.
+// before it in its record: the log was written wrong, not torn.
 var errOrphanContinuation = errors.New("wal: continuation entry without a sample before it")
 
 // scanEntries calls fn for every entry of every record in a segment's first
-// limit bytes (all of it if limit < 0), in file order; a record is a single
-// entry or a recBatch of entries. A batch's entries are decoded in full,
-// since a batch can only be walked that way; a recSampleNext entry is
-// passed to fn as the recSample it stands for. A single-entry record is
-// decoded past its id and seq only when full is set, which only replay
-// needs. The entry passed to fn, slots and vals included, is reused from
-// one call to the next.
-func scanEntries(path string, limit int64, full bool, fn func(*entry) error) error {
+// limit bytes (all of it if limit < 0), in file order; a recSampleNext
+// entry is passed to fn as the recSample it stands for. An error from a
+// record, an entry the decoder rejects or fn's own, names the segment. The
+// entry passed to fn, slots and vals included, is reused from one call to
+// the next.
+func scanEntries(path string, limit int64, fn func(*entry) error) error {
 	var e entry
 	_, err := scanRecords(path, limit, func(payload []byte) error {
-		return decodeRecord(payload, full, &e, fn)
+		if err := decodeRecord(payload, &e, fn); err != nil {
+			return fmt.Errorf("wal: segment %s: %w", path, err)
+		}
+		return nil
 	})
 	return err
 }
 
 // decodeRecord is scanEntries for one record's payload, decoding into e.
-func decodeRecord(payload []byte, full bool, e *entry, fn func(*entry) error) error {
+func decodeRecord(payload []byte, e *entry, fn func(*entry) error) error {
 	d := encoding.NewDecbuf(payload)
-	typ := d.Byte()
-	batch := typ == recBatch
 	e.typ = 0 // no entry of this record precedes the first
-	for {
-		if batch {
-			if d.Len() == 0 {
-				return d.Err()
-			}
-			typ = d.Byte()
-		}
-		switch {
-		case typ == recSampleNext:
+	for d.Len() > 0 {
+		switch typ := d.Byte(); typ {
+		case recSampleNext:
 			// e still holds the sample this one continues.
-			if !batch || e.typ != recSample {
+			if e.typ != recSample {
 				return errOrphanContinuation
 			}
 			e.id++
 			e.v = math.Float64frombits(d.BE64())
-		case typ == recSample || typ == recGroupSample || typ == recFlushMark:
+		case recSample, recGroupSample, recFlushMark:
 			e.typ = typ
 			e.id = d.Uvarint()
 			e.seq = d.Uvarint()
-			switch {
-			case typ == recFlushMark:
-			case !batch && !full:
-			case typ == recSample:
+			switch typ {
+			case recSample:
 				e.t = d.Varint()
 				e.v = math.Float64frombits(d.BE64())
-			default:
+			case recGroupSample:
 				e.t = d.Varint()
 				n := d.Uvarint()
 				e.slots, e.vals = e.slots[:0], e.vals[:0]
@@ -891,10 +865,8 @@ func decodeRecord(payload []byte, full bool, e *entry, fn func(*entry) error) er
 		if err := fn(e); err != nil {
 			return err
 		}
-		if !batch {
-			return nil
-		}
 	}
+	return nil
 }
 
 // scanRecords reads the first limit bytes (all of it if limit < 0) of a
@@ -1136,7 +1108,7 @@ func (w *WAL) Recover(h Handler) error {
 	}
 	w.mu.Unlock()
 	for _, idx := range segs {
-		err := scanEntries(w.segPath(idx), -1, false, func(e *entry) error {
+		err := scanEntries(w.segPath(idx), -1, func(e *entry) error {
 			if e.typ == recFlushMark && e.seq > flushed[e.id] {
 				flushed[e.id] = e.seq
 			}
@@ -1156,7 +1128,7 @@ func (w *WAL) Recover(h Handler) error {
 
 	// Pass 2: replay unflushed samples in order.
 	for _, idx := range segs {
-		err := scanEntries(w.segPath(idx), -1, true, func(e *entry) error {
+		err := scanEntries(w.segPath(idx), -1, func(e *entry) error {
 			if e.typ == recFlushMark || e.seq <= flushed[e.id] {
 				return nil
 			}
